@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,12 +17,12 @@
 #include "exec/counter_names.h"
 #include "exec/geo_parse.h"
 #include "exec/id_geometry.h"
+#include "exec/probe_driver.h"
 #include "exec/probe_stats.h"
 #include "exec/refiner.h"
 #include "exec/spatial_predicate.h"
 #include "exec/table_input.h"
 #include "geosim/geometry.h"
-#include "index/batch_prober.h"
 #include "index/probe_options.h"
 
 namespace cloudjoin::exec {
@@ -89,110 +90,39 @@ struct ColumnarScanStats {
   void FlushTo(Counters* counters) const;
 };
 
-/// The columnar left-scan + probe driver: streams one columnar table
-/// through the shared two-phase filter using the *stored* envelope
-/// columns, pruning whole blocks whose zone-map misses the right side's
-/// overall MBR (when `scan_options.zone_map` is on), and parsing a row's
-/// WKT only when its first filter candidate arrives. Emits exactly the
-/// pairs — in exactly the order — that the text scan path
-/// (ProbeScanner::ScanBlock + RunGeosProbes over the same rows) emits.
-///
-/// `on_block(block_index, seconds)` (optional, pass nullptr-like no-op)
-/// receives per-columnar-block wall timing so engines can keep their
-/// per-task duration accounting.
-template <typename Emit, typename OnBlock>
-Status RunColumnarGeosProbes(const dfs::ColumnarTableReader& reader,
-                             const BuiltRight& right,
-                             const SpatialPredicate& predicate,
-                             const index::ProbeOptions& probe_options,
-                             const dfs::ScanOptions& scan_options,
-                             Counters* counters, Emit&& emit,
-                             ProbeStats* stats, ColumnarScanStats* scan_stats,
-                             OnBlock&& on_block);
-
-/// Accessor-based form of the two-phase probe driver, for probe sets that
-/// are not laid out as a `GeosProbeBatch` (e.g. the streaming window grid,
-/// which owns its parsed geometries inside per-cell entries and cannot
-/// hand them to a batch without cloning). `get_geom(i)` must return the
-/// parsed GEOS-role geometry (convertible to `const geosim::Geometry&`),
-/// `get_wkt(i)` the retained WKT text (`const std::string&` — the refiner
-/// re-parses it on the prepared path), and `get_id(i)` the probe record
-/// id. Emits `emit(IdPair)` for every match in probe order; `stats` must
-/// be non-null. The batch overload below delegates here.
-namespace internal {
-
-/// The driver proper, post sFilter: batch filter + refine over probes
-/// [0, count) as the accessors present them.
-template <typename GetGeom, typename GetWkt, typename GetId, typename Emit>
-void RunGeosProbesImpl(int64_t count, GetGeom&& get_geom, GetWkt&& get_wkt,
-                       GetId&& get_id, const BuiltRight& right,
-                       const SpatialPredicate& predicate,
-                       const index::ProbeOptions& probe_options, Emit&& emit,
-                       ProbeStats* stats) {
-  const GeosRefiner refiner(&right, &predicate);
-  index::BatchStats filter_stats;
-  index::RunBatchedProbes(
-      count, *right.tree, right.packed.get(), probe_options,
-      [&](int64_t i) {
-        const geosim::Geometry& g = get_geom(i);
-        return g.getEnvelopeInternal();
-      },
-      [&](int64_t i, int64_t slot) {
-        ++stats->candidates;
-        const geosim::Geometry& g = get_geom(i);
-        if (refiner.Refine(g, get_wkt(i), static_cast<size_t>(slot),
-                           &stats->refine)) {
-          ++stats->matches;
-          emit(IdPair(get_id(i), right.ids[static_cast<size_t>(slot)]));
-        }
-      },
-      &filter_stats);
-  stats->AddFilter(filter_stats);
-}
-
-}  // namespace internal
-
+/// Accessor-based GEOS-kernel probe, for probe sets that are not laid out
+/// as a `GeosProbeBatch` (e.g. the streaming window grid, which owns its
+/// parsed geometries inside per-cell entries and cannot hand them to a
+/// batch without cloning). `get_geom(i)` must return the parsed GEOS-role
+/// geometry (convertible to `const geosim::Geometry&`), `get_wkt(i)` the
+/// retained WKT text (`const std::string&` — the refiner re-parses it on
+/// the prepared path), and `get_id(i)` the probe record id. Runs the
+/// shared driver (RunProbes) with a GeosRefiner, calling `emit(IdPair)`
+/// for every match in probe order; `stats` must be non-null.
 template <typename GetGeom, typename GetWkt, typename GetId, typename Emit>
 void RunGeosProbes(int64_t count, GetGeom&& get_geom, GetWkt&& get_wkt,
                    GetId&& get_id, const BuiltRight& right,
                    const SpatialPredicate& predicate,
                    const index::ProbeOptions& probe_options, Emit&& emit,
                    ProbeStats* stats) {
-  // sFilter pre-filter: drop probes whose envelope provably touches no
-  // right entry before any tree descent. Survivors keep their relative
-  // order, and a dropped probe emits nothing either way, so output is
-  // byte-identical with the filter off.
-  if (probe_options.sfilter && right.sfilter != nullptr) {
-    std::vector<int64_t> survivors;
-    survivors.reserve(static_cast<size_t>(count));
-    for (int64_t i = 0; i < count; ++i) {
-      const geosim::Geometry& g = get_geom(i);
-      if (right.sfilter->MightIntersect(g.getEnvelopeInternal())) {
-        survivors.push_back(i);
-      }
-    }
-    stats->sfilter_skipped +=
-        count - static_cast<int64_t>(survivors.size());
-    internal::RunGeosProbesImpl(
-        static_cast<int64_t>(survivors.size()),
-        [&](int64_t i) -> decltype(auto) {
-          return get_geom(survivors[static_cast<size_t>(i)]);
-        },
-        [&](int64_t i) -> decltype(auto) {
-          return get_wkt(survivors[static_cast<size_t>(i)]);
-        },
-        [&](int64_t i) { return get_id(survivors[static_cast<size_t>(i)]); },
-        right, predicate, probe_options, std::forward<Emit>(emit), stats);
-    return;
-  }
-  internal::RunGeosProbesImpl(count, std::forward<GetGeom>(get_geom),
-                              std::forward<GetWkt>(get_wkt),
-                              std::forward<GetId>(get_id), right, predicate,
-                              probe_options, std::forward<Emit>(emit), stats);
+  const GeosRefiner refiner(&right, &predicate);
+  RunProbes(
+      count, right, probe_options,
+      [&](int64_t i) {
+        const geosim::Geometry& g = get_geom(i);
+        return g.getEnvelopeInternal();
+      },
+      [&](int64_t i, int64_t slot) {
+        return refiner.Refine(get_geom(i), get_wkt(i),
+                              static_cast<size_t>(slot), &stats->refine);
+      },
+      [&](int64_t i, int64_t slot) {
+        emit(IdPair(get_id(i), right.ids[static_cast<size_t>(slot)]));
+      },
+      stats);
 }
 
-/// Runs one parsed probe batch through the shared two-phase driver
-/// (columnar filter via index::RunBatchedProbes, then GeosRefiner), calling
+/// Runs one parsed probe batch through the shared driver, calling
 /// `emit(IdPair)` for every match in probe order. `stats` must be non-null.
 template <typename Emit>
 void RunGeosProbes(const GeosProbeBatch& probes, const BuiltRight& right,
@@ -211,6 +141,18 @@ void RunGeosProbes(const GeosProbeBatch& probes, const BuiltRight& right,
       predicate, probe_options, std::forward<Emit>(emit), stats);
 }
 
+/// The columnar left-scan: streams one columnar table through the shared
+/// driver using the *stored* envelope columns, pruning whole blocks whose
+/// zone-map misses the right side's overall MBR (when
+/// `scan_options.zone_map` is on), and parsing a row's WKT only when its
+/// first filter candidate arrives. Emits exactly the pairs — in exactly
+/// the order — that the text scan path (ProbeScanner::ScanBlock +
+/// RunGeosProbes over the same rows) emits, with the same counters: a row
+/// whose WKT fails to parse counts as join.left_bad_geom, never as a
+/// candidate.
+///
+/// `on_block(block_index, seconds)` receives per-columnar-block wall
+/// timing so engines can keep their per-task duration accounting.
 template <typename Emit, typename OnBlock>
 Status RunColumnarGeosProbes(const dfs::ColumnarTableReader& reader,
                              const BuiltRight& right,
@@ -226,14 +168,11 @@ Status RunColumnarGeosProbes(const dfs::ColumnarTableReader& reader,
   // entries are already expanded by the predicate's filter radius, so a
   // block whose zone-map misses `region` cannot contribute a candidate.
   const geom::Envelope& region = right.tree->bounds();
-  const index::SFilter* sfilter =
-      probe_options.sfilter ? right.sfilter.get() : nullptr;
 
   // Per-block lazy-materialization scratch, reused across blocks.
   std::vector<std::unique_ptr<geosim::Geometry>> geoms;
   std::vector<std::string> wkt;
   std::vector<char> attempted;
-  std::vector<int64_t> survivors;
 
   for (int64_t b = 0; b < reader.num_blocks(); ++b) {
     Stopwatch block_watch;
@@ -253,34 +192,17 @@ Status RunColumnarGeosProbes(const dfs::ColumnarTableReader& reader,
     wkt.assign(static_cast<size_t>(n), std::string());
     attempted.assign(static_cast<size_t>(n), 0);
 
-    // sFilter pre-filter over the stored envelope column: rows it rejects
-    // never enter a batch, never descend the tree, and — because a
-    // rejected row has zero candidates — never materialize their WKT.
-    int64_t probe_count = n;
-    if (sfilter != nullptr) {
-      survivors.clear();
-      for (int64_t i = 0; i < n; ++i) {
-        if (sfilter->MightIntersect(block.RowEnvelope(i))) {
-          survivors.push_back(i);
-        }
-      }
-      stats->sfilter_skipped += n - static_cast<int64_t>(survivors.size());
-      probe_count = static_cast<int64_t>(survivors.size());
-    }
-    auto row_of = [&](int64_t i) {
-      return sfilter != nullptr ? survivors[static_cast<size_t>(i)] : i;
-    };
-
-    index::BatchStats filter_stats;
-    index::RunBatchedProbes(
-        probe_count, *right.tree, right.packed.get(), probe_options,
-        [&](int64_t i) { return block.RowEnvelope(row_of(i)); },
-        [&](int64_t i, int64_t slot) {
-          const size_t s = static_cast<size_t>(row_of(i));
+    // The stored envelope column feeds the driver: rows the sFilter
+    // rejects never descend the tree and, having no candidates, never
+    // materialize their WKT.
+    RunProbes(
+        n, right, probe_options,
+        [&](int64_t i) { return block.RowEnvelope(i); },
+        [&](int64_t i, int64_t slot) -> std::optional<bool> {
+          const size_t s = static_cast<size_t>(i);
           if (!attempted[s]) {
-            // First surviving candidate of this row: materialize the WKT
-            // column now (the text path parsed it before the filter ever
-            // ran; rows with zero candidates never reach this point).
+            // First candidate of this row: materialize the WKT column now
+            // (the text path parsed it before the filter ever ran).
             attempted[s] = 1;
             auto parsed = ParseGeosWkt(block.wkt[s]);
             if (parsed.ok()) {
@@ -291,16 +213,15 @@ Status RunColumnarGeosProbes(const dfs::ColumnarTableReader& reader,
               counters->Add(counter::kLeftBadGeom, 1);
             }
           }
-          if (geoms[s] == nullptr) return;
-          ++stats->candidates;
-          if (refiner.Refine(*geoms[s], wkt[s], static_cast<size_t>(slot),
-                             &stats->refine)) {
-            ++stats->matches;
-            emit(IdPair(block.ids[s], right.ids[static_cast<size_t>(slot)]));
-          }
+          if (geoms[s] == nullptr) return std::nullopt;
+          return refiner.Refine(*geoms[s], wkt[s], static_cast<size_t>(slot),
+                                &stats->refine);
         },
-        &filter_stats);
-    stats->AddFilter(filter_stats);
+        [&](int64_t i, int64_t slot) {
+          emit(IdPair(block.ids[static_cast<size_t>(i)],
+                      right.ids[static_cast<size_t>(slot)]));
+        },
+        stats);
     on_block(b, block_watch.ElapsedSeconds());
   }
   return Status::OK();
