@@ -108,8 +108,13 @@ void Run(const Flags& flags) {
     if (prepared_flag != 1) {
       join::BroadcastIndex index(right_records, w->predicate.FilterRadius());
       std::vector<join::IdPair> pairs;
+      join::ProbeStats stats;
       CpuTimer watch;
-      index.ProbeBatch(probes, w->predicate, &pairs);
+      index.Probe(probes, w->predicate, join::ProbeOptions(),
+                  [&pairs](int64_t, const join::IdPair& pair) {
+                    pairs.push_back(pair);
+                  },
+                  &stats);
       exact_seconds = watch.ElapsedSeconds();
       exact_pairs = pairs.size();
       std::printf("%-14s prepared=0: probe %8.4fs (%zu pairs)\n",
@@ -118,10 +123,14 @@ void Run(const Flags& flags) {
     if (prepared_flag != 0) {
       join::BroadcastIndex index(right_records, w->predicate.FilterRadius(),
                                  join::PrepareOptions::Prepared());
-      Counters counters;
       std::vector<join::IdPair> pairs;
+      join::ProbeStats stats;
       CpuTimer watch;
-      index.ProbeBatch(probes, w->predicate, &pairs, &counters);
+      index.Probe(probes, w->predicate, join::ProbeOptions(),
+                  [&pairs](int64_t, const join::IdPair& pair) {
+                    pairs.push_back(pair);
+                  },
+                  &stats);
       double prepared_seconds = watch.ElapsedSeconds();
       std::printf(
           "%-14s prepared=1: probe %8.4fs (%zu pairs, %lld grids in "
@@ -129,8 +138,8 @@ void Run(const Flags& flags) {
           w->name.c_str(), prepared_seconds, pairs.size(),
           static_cast<long long>(index.num_prepared()),
           index.prepare_seconds(),
-          static_cast<long long>(counters.Get("join.boundary_fallbacks")),
-          static_cast<long long>(counters.Get("join.prepared_hits")));
+          static_cast<long long>(stats.refine.boundary_fallbacks),
+          static_cast<long long>(stats.refine.prepared_hits));
       if (prepared_flag == -1) {
         CLOUDJOIN_CHECK(pairs.size() == exact_pairs)
             << "prepared refinement changed the result";

@@ -15,26 +15,4 @@ BroadcastIndex::BroadcastIndex(std::vector<IdGeometry> records, double radius,
   num_prepared_ = core_.NumPrepared();
 }
 
-void BroadcastIndex::Probe(const IdGeometry& probe,
-                           const SpatialPredicate& predicate,
-                           std::vector<IdPair>* out,
-                           Counters* counters) const {
-  ProbeStats stats;
-  ProbeVisit(probe, predicate,
-             [out](const IdPair& pair) { out->push_back(pair); }, &stats);
-  stats.FlushTo(counters);
-}
-
-void BroadcastIndex::ProbeBatch(std::span<const IdGeometry> probes,
-                                const SpatialPredicate& predicate,
-                                std::vector<IdPair>* out, Counters* counters,
-                                const index::ProbeOptions& probe_options)
-    const {
-  ProbeStats stats;
-  ProbeRangeVisit(probes, predicate, probe_options,
-                  [out](int64_t, const IdPair& pair) { out->push_back(pair); },
-                  &stats);
-  stats.FlushTo(counters);
-}
-
 }  // namespace cloudjoin::exec

@@ -6,17 +6,14 @@
 #include <span>
 #include <vector>
 
-#include "common/counters.h"
 #include "exec/built_right.h"
 #include "exec/id_geometry.h"
 #include "exec/prepare_options.h"
+#include "exec/probe_driver.h"
 #include "exec/probe_stats.h"
 #include "exec/refiner.h"
 #include "exec/spatial_predicate.h"
-#include "index/batch_prober.h"
-#include "index/packed_str_tree.h"
 #include "index/probe_options.h"
-#include "index/str_tree.h"
 
 namespace cloudjoin::exec {
 
@@ -36,74 +33,35 @@ class BroadcastIndex {
   BroadcastIndex(std::vector<IdGeometry> records, double radius,
                  const PrepareOptions& prepare = PrepareOptions());
 
-  /// Statically dispatched probe: filters `probe` through the STR-tree and
-  /// refines every candidate, calling `emit(IdPair)` for each match. No
-  /// indirect call and no allocation per probe. `stats` must be non-null.
+  /// Probes every record of `probes` through the shared driver
+  /// (RunProbes: sFilter, batched packed-tree filter, JtsRefiner), calling
+  /// `emit(i, pair)` — `i` the probe's index within `probes` — for every
+  /// match, probes ascending and per probe in tree emit order, for every
+  /// `options` knob. Probing one record is a span of one. `stats` must be
+  /// non-null.
   template <typename Emit>
-  void ProbeVisit(const IdGeometry& probe, const SpatialPredicate& predicate,
-                  Emit&& emit, ProbeStats* stats) const {
-    core_.tree->VisitQuery(probe.geometry.envelope(), [&](int64_t slot) {
-      ++stats->candidates;
-      if (refiner_.Refine(probe.geometry, static_cast<size_t>(slot),
-                          predicate, &stats->refine)) {
-        ++stats->matches;
-        emit(IdPair(probe.id,
-                    core_.records[static_cast<size_t>(slot)].id));
-      }
-    });
-  }
-
-  /// Refines `probe` against every filtered candidate, appending matches
-  /// (probe_id, right_id) to `out`. Counters (optional): filter candidates,
-  /// refinement tests, and prepared/fallback refinement counts.
-  void Probe(const IdGeometry& probe, const SpatialPredicate& predicate,
-             std::vector<IdPair>* out, Counters* counters = nullptr) const;
-
-  /// Columnar two-phase probe over a contiguous range: filters `probes` in
-  /// `probe_options.batch_size`-sized EnvelopeBatches through the packed
-  /// (or pointer) tree, then refines the dense candidate buffer with the
-  /// original probe order restored. Calls `emit(i, pair)` — `i` the
-  /// probe's index within `probes` — for exactly the matches per-record
-  /// ProbeVisit would emit, in the same order, for every knob combination.
-  template <typename Emit>
-  void ProbeRangeVisit(std::span<const IdGeometry> probes,
-                       const SpatialPredicate& predicate,
-                       const index::ProbeOptions& probe_options, Emit&& emit,
-                       ProbeStats* stats) const {
-    index::BatchStats filter_stats;
-    index::RunBatchedProbes(
-        static_cast<int64_t>(probes.size()), *core_.tree, core_.packed.get(),
-        probe_options,
-        [&](int64_t i) {
+  void Probe(std::span<const IdGeometry> probes,
+             const SpatialPredicate& predicate,
+             const index::ProbeOptions& options, Emit&& emit,
+             ProbeStats* stats) const {
+    RunProbes(
+        static_cast<int64_t>(probes.size()), core_, options,
+        [&](int64_t i) -> const geom::Envelope& {
           return probes[static_cast<size_t>(i)].geometry.envelope();
         },
         [&](int64_t i, int64_t slot) {
-          const IdGeometry& probe = probes[static_cast<size_t>(i)];
-          ++stats->candidates;
-          if (refiner_.Refine(probe.geometry, static_cast<size_t>(slot),
-                              predicate, &stats->refine)) {
-            ++stats->matches;
-            emit(i, IdPair(probe.id,
-                           core_.records[static_cast<size_t>(slot)].id));
-          }
+          return refiner_.Refine(probes[static_cast<size_t>(i)].geometry,
+                                 static_cast<size_t>(slot), predicate,
+                                 &stats->refine);
         },
-        &filter_stats);
-    stats->AddFilter(filter_stats);
+        [&](int64_t i, int64_t slot) {
+          emit(i, IdPair(probes[static_cast<size_t>(i)].id,
+                         core_.records[static_cast<size_t>(slot)].id));
+        },
+        stats);
   }
 
-  /// Row-batch probe (mirrors ISP-MC's vectorized execution): probes every
-  /// record of `probes` in order, appending matches to `out`; counter
-  /// updates are amortized over the whole batch instead of per record.
-  /// Runs the columnar path per `probe_options` (default: on).
-  void ProbeBatch(std::span<const IdGeometry> probes,
-                  const SpatialPredicate& predicate, std::vector<IdPair>* out,
-                  Counters* counters = nullptr,
-                  const index::ProbeOptions& probe_options =
-                      index::ProbeOptions()) const;
-
   int64_t size() const { return core_.size(); }
-  const index::StrTree& tree() const { return *core_.tree; }
-  const index::PackedStrTree& packed() const { return *core_.packed; }
 
   /// The shared built-right core (records + tree + grids).
   const BuiltRight& core() const { return core_; }

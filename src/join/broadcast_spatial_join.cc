@@ -18,8 +18,12 @@ std::vector<IdPair> BroadcastSpatialJoin(const std::vector<IdGeometry>& left,
                                          const ProbeOptions& probe) {
   BroadcastIndex index(std::move(right), predicate.FilterRadius(), prepare);
   std::vector<IdPair> out;
-  index.ProbeBatch(std::span<const IdGeometry>(left.data(), left.size()),
-                   predicate, &out, counters, probe);
+  ProbeStats stats;
+  index.Probe(std::span<const IdGeometry>(left.data(), left.size()),
+              predicate, probe,
+              [&out](int64_t, const IdPair& pair) { out.push_back(pair); },
+              &stats);
+  stats.FlushTo(counters);
   return out;
 }
 
@@ -41,11 +45,14 @@ std::vector<IdPair> ParallelBroadcastSpatialJoin(
   // serialize the run; per-shard output buffers concatenated in shard
   // order reproduce the serial left-major output byte for byte.
   const int64_t n = static_cast<int64_t>(left.size());
-  const int64_t num_shards =
+  const int64_t max_shards =
       std::min<int64_t>(n, static_cast<int64_t>(num_threads) * 8);
   std::vector<IdPair> out;
-  if (num_shards <= 0) return out;
-  const int64_t shard_size = (n + num_shards - 1) / num_shards;
+  if (max_shards <= 0) return out;
+  const int64_t shard_size = (n + max_shards - 1) / max_shards;
+  // Rounding the shard size up can leave trailing shards empty; drop them
+  // so every shard is a non-empty range of `left`.
+  const int64_t num_shards = (n + shard_size - 1) / shard_size;
   std::vector<std::vector<IdPair>> shard_out(
       static_cast<size_t>(num_shards));
   std::vector<ProbeStats> shard_stats(static_cast<size_t>(num_shards));
@@ -54,10 +61,10 @@ std::vector<IdPair> ParallelBroadcastSpatialJoin(
     const int64_t end = std::min(n, begin + shard_size);
     auto* shard_pairs = &shard_out[static_cast<size_t>(shard)];
     ProbeStats* stats = &shard_stats[static_cast<size_t>(shard)];
-    // Each shard runs the columnar path over its contiguous range; the
-    // driver restores probe order within the shard, so concatenating the
-    // shard buffers still reproduces the serial output byte for byte.
-    index.ProbeRangeVisit(
+    // Each shard runs the driver over its contiguous range; the driver
+    // restores probe order within the shard, so concatenating the shard
+    // buffers still reproduces the serial output byte for byte.
+    index.Probe(
         std::span<const IdGeometry>(left.data() + begin,
                                     static_cast<size_t>(end - begin)),
         predicate, probe,

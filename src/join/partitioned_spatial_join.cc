@@ -1,6 +1,7 @@
 #include "join/partitioned_spatial_join.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 
 #include "common/stopwatch.h"
@@ -124,20 +125,20 @@ std::vector<IdPair> PartitionedSpatialJoin(
       right_envelopes.emplace(g.id, env);
     }
     BroadcastIndex index(std::move(right_buckets[tile]), radius);
-    for (const IdGeometry& probe : left_buckets[tile]) {
-      const geom::Envelope left_env = probe.geometry.envelope();
-      index.ProbeVisit(
-          probe, predicate,
-          [&](const IdPair& pair) {
-            if (partitioner.OwnerTileOf(
-                    left_env, right_envelopes.at(pair.second)) == tile) {
-              out.push_back(pair);
-            } else {
-              ++suppressed;
-            }
-          },
-          &probe_stats);
-    }
+    const std::vector<IdGeometry>& probes = left_buckets[tile];
+    index.Probe(
+        std::span<const IdGeometry>(probes.data(), probes.size()), predicate,
+        ProbeOptions(),
+        [&](int64_t i, const IdPair& pair) {
+          if (partitioner.OwnerTileOf(
+                  probes[static_cast<size_t>(i)].geometry.envelope(),
+                  right_envelopes.at(pair.second)) == tile) {
+            out.push_back(pair);
+          } else {
+            ++suppressed;
+          }
+        },
+        &probe_stats);
     if (options.tile_seconds != nullptr) {
       (*options.tile_seconds)[static_cast<size_t>(tile)] +=
           tile_watch.ElapsedSeconds();

@@ -133,7 +133,7 @@ Result<SparkJoinRun> SpatialSparkSystem::Join(
     left_rdd.ComputePartition(
         p, [&](const IdGeometry& g) { probes.push_back(g); });
     auto* out = &part_pairs[static_cast<size_t>(p)];
-    broadcast.value().ProbeRangeVisit(
+    broadcast.value().Probe(
         std::span<const IdGeometry>(probes.data(), probes.size()), predicate,
         probe_options,
         [out](int64_t, const IdPair& pair) { out->push_back(pair); },
@@ -262,7 +262,7 @@ Result<SparkJoinRun> SpatialSparkSystem::PartitionedJoin(
     std::vector<IdGeometry> left_local;
     left_tiled.ComputePartition(
         tile, [&](const Tagged& kv) { left_local.push_back(kv.second); });
-    index.ProbeRangeVisit(
+    index.Probe(
         std::span<const IdGeometry>(left_local.data(), left_local.size()),
         predicate, probe_options,
         [&](int64_t i, const IdPair& pair) {

@@ -244,8 +244,13 @@ Result<KernelJoinResponse> QueryService::ExecuteBroadcastJoin(
   }
 
   Stopwatch probe_watch;
-  index->ProbeBatch(left, request.predicate, &response.pairs,
-                    &response.counters, request.probe);
+  join::ProbeStats probe_stats;
+  index->Probe(left, request.predicate, request.probe,
+               [&response](int64_t, const join::IdPair& pair) {
+                 response.pairs.push_back(pair);
+               },
+               &probe_stats);
+  probe_stats.FlushTo(&response.counters);
   response.probe_seconds = probe_watch.ElapsedSeconds();
   ticket.Release();
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,19 @@
 
 namespace cloudjoin::exec {
 namespace {
+
+/// Probes one record (a span of one) and returns its matches.
+std::vector<IdPair> ProbeOne(const BroadcastIndex& broadcast,
+                             const IdGeometry& probe,
+                             const SpatialPredicate& predicate) {
+  std::vector<IdPair> out;
+  ProbeStats stats;
+  broadcast.Probe(std::span<const IdGeometry>(&probe, 1), predicate,
+                  index::ProbeOptions(),
+                  [&out](int64_t, const IdPair& pair) { out.push_back(pair); },
+                  &stats);
+  return out;
+}
 
 constexpr char kRightPath[] = "/tables/right.tbl";
 
@@ -106,11 +120,11 @@ TEST(RightBuilderTest, EmptyGeometriesFollowTheKernelContract) {
   BroadcastIndex index(std::move(records), /*radius=*/0.0, PrepareOptions());
   EXPECT_EQ(index.size(), 2);
 
-  std::vector<IdPair> out;
   auto probe_geom = geom::ReadWkt("POINT (2 2)");
   ASSERT_TRUE(probe_geom.ok());
   IdGeometry probe{42, std::move(probe_geom).value()};
-  index.Probe(probe, SpatialPredicate::Within(), &out);
+  const std::vector<IdPair> out =
+      ProbeOne(index, probe, SpatialPredicate::Within());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], IdPair(42, 1));
 }
@@ -487,15 +501,12 @@ TEST(BroadcastIndexTest, FilterRadiusWidensIndexedEnvelopesForNearestD) {
 
   BroadcastIndex widened(make_records(), nearest.FilterRadius(),
                          PrepareOptions());
-  std::vector<IdPair> out;
-  widened.Probe(probe, nearest, &out);
+  const std::vector<IdPair> out = ProbeOne(widened, probe, nearest);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], IdPair(7, 1));
 
   BroadcastIndex unwidened(make_records(), /*radius=*/0.0, PrepareOptions());
-  out.clear();
-  unwidened.Probe(probe, nearest, &out);
-  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(ProbeOne(unwidened, probe, nearest).empty());
 }
 
 TEST(BroadcastIndexTest, CoreExposesSharedBuiltRight) {
@@ -510,12 +521,11 @@ TEST(BroadcastIndexTest, CoreExposesSharedBuiltRight) {
   EXPECT_TRUE(index.core().ids.empty());  // geom flavour
   EXPECT_GE(index.MemoryBytes(), index.core().tree->MemoryBytes());
 
-  ProbeStats stats;
-  std::vector<IdPair> out;
   auto probe_geom = geom::ReadWkt("POINT (1 1)");
   ASSERT_TRUE(probe_geom.ok());
   IdGeometry probe{9, std::move(probe_geom).value()};
-  index.Probe(probe, SpatialPredicate::Within(), &out);
+  const std::vector<IdPair> out =
+      ProbeOne(index, probe, SpatialPredicate::Within());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], IdPair(9, 5));
 }

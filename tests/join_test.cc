@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "common/rng.h"
 #include "join/broadcast_spatial_join.h"
@@ -324,25 +325,30 @@ TEST_P(JoinOracleProperty, ParallelIsByteIdenticalToSerial) {
 }
 
 TEST(BroadcastIndexTest, ProbeBatchMatchesPerProbe) {
+  // One probe over the whole batch == one probe per record (spans of one):
+  // same pairs in the same order, same candidate and match counts.
   Rng rng(17);
   auto points = RandomPoints(&rng, 200, 500);
   auto polys = RandomPolygons(&rng, 30, 500);
   BroadcastIndex index(polys, 0.0);
-  Counters per_probe_counters;
+  auto collect = [](std::vector<IdPair>* out) {
+    return [out](int64_t, const IdPair& pair) { out->push_back(pair); };
+  };
+  ProbeStats per_probe_stats;
   std::vector<IdPair> per_probe;
   for (const IdGeometry& p : points) {
-    index.Probe(p, SpatialPredicate::Within(), &per_probe,
-                &per_probe_counters);
+    index.Probe(std::span<const IdGeometry>(&p, 1), SpatialPredicate::Within(),
+                ProbeOptions(), collect(&per_probe), &per_probe_stats);
   }
-  Counters batch_counters;
+  ProbeStats batch_stats;
   std::vector<IdPair> batched;
-  index.ProbeBatch(std::span<const IdGeometry>(points.data(), points.size()),
-                   SpatialPredicate::Within(), &batched, &batch_counters);
+  index.Probe(std::span<const IdGeometry>(points.data(), points.size()),
+              SpatialPredicate::Within(), ProbeOptions(), collect(&batched),
+              &batch_stats);
   EXPECT_EQ(batched, per_probe);
-  EXPECT_EQ(batch_counters.Get("join.candidates"),
-            per_probe_counters.Get("join.candidates"));
-  EXPECT_EQ(batch_counters.Get("join.matches"),
-            per_probe_counters.Get("join.matches"));
+  EXPECT_EQ(batch_stats.candidates, per_probe_stats.candidates);
+  EXPECT_EQ(batch_stats.matches, per_probe_stats.matches);
+  EXPECT_EQ(batch_stats.matches, static_cast<int64_t>(batched.size()));
 }
 
 TEST(BroadcastIndexTest, PreparationRespectsVertexThreshold) {
