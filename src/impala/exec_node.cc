@@ -7,10 +7,10 @@
 #include "common/strings.h"
 #include "exec/counter_names.h"
 #include "exec/geo_parse.h"
+#include "exec/probe_driver.h"
 #include "exec/probe_stats.h"
 #include "exec/refiner.h"
 #include "exec/right_builder.h"
-#include "index/batch_prober.h"
 
 namespace cloudjoin::impala {
 
@@ -56,10 +56,12 @@ class SpatialRefinery {
     if (has_distance_) udf_args_[2] = spec_->distance;
   }
 
-  /// Exact test for candidate pair (left_geom, right slot `id`).
-  bool Refine(const geosim::Geometry& left_geom, size_t id) {
+  /// Exact test for candidate pair (left_geom, right slot `id`); prepared
+  /// grid usage lands in `stats`.
+  bool Refine(const geosim::Geometry& left_geom, size_t id,
+              core::RefineStats* stats) {
     bool match = false;
-    if (refiner_.TryPrepared(left_geom, id, &refine_stats_, &match)) {
+    if (refiner_.TryPrepared(left_geom, id, stats, &match)) {
       // Prepared grid answered; nothing further to evaluate.
     } else if (cache_parsed_) {
       // Ablation: reuse parsed geometries instead of re-parsing WKT.
@@ -78,9 +80,8 @@ class SpatialRefinery {
     return match;
   }
 
-  void FlushTo(Counters* counters) {
+  void FlushTo(Counters* counters) const {
     if (refinements_ > 0) counters->Add("join.refinements", refinements_);
-    refine_stats_.FlushTo(counters);
   }
 
  private:
@@ -102,7 +103,6 @@ class SpatialRefinery {
   bool has_distance_;
   core::SpatialPredicate predicate_;
   core::GeosRefiner refiner_;
-  core::RefineStats refine_stats_;
   int64_t refinements_ = 0;
   std::vector<Value> udf_args_;  // scratch, reused across pairs
 };
@@ -110,14 +110,9 @@ class SpatialRefinery {
 /// Parse phase shared by both spatial join nodes: materializes the
 /// batch's probe geometries (the paper's second parsing site) through the
 /// core's one WKT entry point, dropping null/bad geometry rows under the
-/// unified left-side counters. Then, when the probe configuration asks,
-/// drops probes whose envelope the broadcast sFilter proves candidate-free
-/// (conservative bitmap: false positives possible, false negatives not —
-/// a dropped probe cannot have matched, so results are byte-identical).
+/// unified left-side counters.
 void ParseProbeBatch(const RowBatch& left_rows, int left_geom_slot,
-                     const core::BuiltRight& right,
-                     const index::ProbeOptions& probe, Counters* counters,
-                     std::vector<const Row*>* probe_rows,
+                     Counters* counters, std::vector<const Row*>* probe_rows,
                      std::vector<const std::string*>* probe_wkt,
                      std::vector<std::unique_ptr<geosim::Geometry>>* geoms) {
   probe_rows->clear();
@@ -139,26 +134,6 @@ void ParseProbeBatch(const RowBatch& left_rows, int left_geom_slot,
     probe_rows->push_back(&left_row);
     probe_wkt->push_back(left_wkt);
     geoms->push_back(std::move(parsed).value());
-  }
-  if (!probe.sfilter || right.sfilter == nullptr || geoms->empty()) return;
-  size_t kept = 0;
-  for (size_t i = 0; i < geoms->size(); ++i) {
-    if (!right.sfilter->MightIntersect((*geoms)[i]->getEnvelopeInternal())) {
-      continue;
-    }
-    if (kept != i) {
-      (*probe_rows)[kept] = (*probe_rows)[i];
-      (*probe_wkt)[kept] = (*probe_wkt)[i];
-      (*geoms)[kept] = std::move((*geoms)[i]);
-    }
-    ++kept;
-  }
-  const int64_t skipped = static_cast<int64_t>(geoms->size() - kept);
-  if (skipped > 0) {
-    counters->Add(core::counter::kSfilterSkipped, skipped);
-    probe_rows->resize(kept);
-    probe_wkt->resize(kept);
-    geoms->resize(kept);
   }
 }
 
@@ -500,47 +475,40 @@ Status SpatialJoinNode::Open() { return left_child_->Open(); }
 void SpatialJoinNode::Close() { left_child_->Close(); }
 
 void SpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
-  ParseProbeBatch(left_rows, spec_->left_geom_slot, *right_, probe_,
-                  counters_, &probe_rows_, &probe_wkt_, &probe_geoms_);
+  ParseProbeBatch(left_rows, spec_->left_geom_slot, counters_, &probe_rows_,
+                  &probe_wkt_, &probe_geoms_);
   if (probe_rows_.empty()) return;
 
-  // Filter + refine: the whole row batch goes through the columnar driver
-  // (packed tree, Hilbert ordering per probe_), and candidates come back
-  // probe-ascending so output row order matches per-row execution.
+  // Filter + refine: the whole row batch goes through the shared driver
+  // (sFilter, packed tree, Hilbert ordering per probe_), and candidates
+  // come back probe-ascending so output row order matches per-row
+  // execution.
   SpatialRefinery refinery(right_, spec_, cache_parsed_);
-  int64_t batch_candidates = 0;
+  core::ProbeStats stats;
   int64_t current_probe = -1;
-  index::BatchStats filter_stats;
-  index::RunBatchedProbes(
-      static_cast<int64_t>(probe_geoms_.size()), *right_->tree,
-      right_->packed.get(), probe_,
+  core::RunProbes(
+      static_cast<int64_t>(probe_geoms_.size()), *right_, probe_,
       [&](int64_t i) {
         return probe_geoms_[static_cast<size_t>(i)]->getEnvelopeInternal();
       },
       [&](int64_t i, int64_t id) {
-        ++batch_candidates;
         if (i != current_probe) {
           // First candidate of probe i: set up the per-probe refinement
           // state (candidates arrive grouped by probe, in row order).
           current_probe = i;
           refinery.BeginProbe(*probe_wkt_[static_cast<size_t>(i)]);
         }
-        if (!refinery.Refine(*probe_geoms_[static_cast<size_t>(i)],
-                             static_cast<size_t>(id))) {
-          return;
-        }
+        return refinery.Refine(*probe_geoms_[static_cast<size_t>(i)],
+                               static_cast<size_t>(id), &stats.refine);
+      },
+      [&](int64_t i, int64_t id) {
         EmitJoinRow(*probe_rows_[static_cast<size_t>(i)],
                     right_->rows[static_cast<size_t>(id)], *post_filters_,
                     *output_exprs_, &pending_);
       },
-      &filter_stats);
-  counters_->Add(core::counter::kCandidates, batch_candidates);
+      &stats);
   refinery.FlushTo(counters_);
-  counters_->Add(core::counter::kFilterBatches, filter_stats.batches);
-  counters_->Add(core::counter::kFilterCandidates, filter_stats.candidates);
-  if (filter_stats.simd_lanes > 0) {
-    counters_->Add(core::counter::kFilterSimdLanes, filter_stats.simd_lanes);
-  }
+  stats.FlushTo(counters_);
 }
 
 Status SpatialJoinNode::GetNext(RowBatch* batch, bool* eos) {
@@ -590,22 +558,30 @@ Status PartitionedSpatialJoinNode::Open() { return left_child_->Open(); }
 void PartitionedSpatialJoinNode::Close() { left_child_->Close(); }
 
 void PartitionedSpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
-  ParseProbeBatch(left_rows, spec_->left_geom_slot, *right_, probe_,
-                  counters_, &probe_rows_, &probe_wkt_, &probe_geoms_);
+  ParseProbeBatch(left_rows, spec_->left_geom_slot, counters_, &probe_rows_,
+                  &probe_wkt_, &probe_geoms_);
   if (probe_rows_.empty()) return;
 
-  // Route each probe to the tiles its envelope touches (the partitioned
-  // join's shuffle). A probe outside every tile (outside the right tree's
-  // bounds) simply matches nothing, same as the broadcast descent.
+  // Route each probe the sFilter keeps to the tiles its envelope touches
+  // (the partitioned join's shuffle). The sFilter runs once per probe,
+  // here, not once per tile. A probe outside every tile (outside the
+  // right tree's bounds) simply matches nothing, same as the broadcast
+  // descent.
   const index::SpatialPartitioner& partitioner = tiles_->partitioner();
+  auto envelope_of = [&](int64_t p) -> const geom::Envelope& {
+    return probe_geoms_[static_cast<size_t>(p)]->getEnvelopeInternal();
+  };
   tile_probes_.resize(static_cast<size_t>(tiles_->num_tiles()));
   for (std::vector<int64_t>& probes : tile_probes_) probes.clear();
-  for (size_t i = 0; i < probe_geoms_.size(); ++i) {
-    for (int t : partitioner.TilesFor(probe_geoms_[i]->getEnvelopeInternal())) {
-      tile_probes_[static_cast<size_t>(t)].push_back(
-          static_cast<int64_t>(i));
-    }
-  }
+  core::ProbeStats stats;
+  stats.sfilter_skipped += core::ForEachSFilterSurvivor(
+      static_cast<int64_t>(probe_geoms_.size()),
+      probe_.sfilter ? right_->sfilter.get() : nullptr, envelope_of,
+      [&](int64_t p) {
+        for (int t : partitioner.TilesFor(envelope_of(p))) {
+          tile_probes_[static_cast<size_t>(t)].push_back(p);
+        }
+      });
 
   // Tile-major probe loop: each tile's work is metered separately — the
   // tile tasks a simulated cluster schedules independently of the scan
@@ -613,8 +589,6 @@ void PartitionedSpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
   // before refinement, so replication costs an envelope test, never an
   // exact geometry test.
   SpatialRefinery refinery(right_, spec_, cache_parsed_);
-  int64_t batch_candidates = 0;
-  index::BatchStats filter_stats;
   for (int t = 0; t < tiles_->num_tiles(); ++t) {
     const std::vector<int64_t>& probes =
         tile_probes_[static_cast<size_t>(t)];
@@ -622,49 +596,40 @@ void PartitionedSpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
     CpuTimer tile_watch;
     const std::vector<core::TiledRight::Slot>& slots = tiles_->slots(t);
     int64_t current_probe = -1;
-    index::RunBatchedProbes(
+    core::RunProbes(
         static_cast<int64_t>(probes.size()), tiles_->tree(t),
-        &tiles_->packed(t), probe_,
-        [&](int64_t i) {
-          return probe_geoms_[static_cast<size_t>(probes[static_cast<size_t>(
-                                  i)])]->getEnvelopeInternal();
-        },
+        tiles_->packed(t), /*sfilter=*/nullptr, probe_,
+        [&](int64_t i) { return envelope_of(probes[static_cast<size_t>(i)]); },
         [&](int64_t i, int64_t slot_id) {
-          ++batch_candidates;
-          const size_t p =
-              static_cast<size_t>(probes[static_cast<size_t>(i)]);
+          const int64_t p = probes[static_cast<size_t>(i)];
           const core::TiledRight::Slot& slot =
               slots[static_cast<size_t>(slot_id)];
           // Reference-point dedup: a pair replicated into several tiles is
-          // emitted only by the tile owning the lower-left corner of its
+          // refined only by the tile owning the lower-left corner of its
           // envelope intersection.
-          if (partitioner.OwnerTileOf(
-                  probe_geoms_[p]->getEnvelopeInternal(), slot.envelope) !=
-              t) {
-            return;
+          if (partitioner.OwnerTileOf(envelope_of(p), slot.envelope) != t) {
+            return false;
           }
-          if (static_cast<int64_t>(p) != current_probe) {
-            current_probe = static_cast<int64_t>(p);
-            refinery.BeginProbe(*probe_wkt_[p]);
+          if (p != current_probe) {
+            current_probe = p;
+            refinery.BeginProbe(*probe_wkt_[static_cast<size_t>(p)]);
           }
-          if (!refinery.Refine(*probe_geoms_[p],
-                               static_cast<size_t>(slot.row))) {
-            return;
-          }
+          return refinery.Refine(*probe_geoms_[static_cast<size_t>(p)],
+                                 static_cast<size_t>(slot.row),
+                                 &stats.refine);
+        },
+        [&](int64_t i, int64_t slot_id) {
+          const size_t p = static_cast<size_t>(probes[static_cast<size_t>(i)]);
           EmitJoinRow(*probe_rows_[p],
-                      right_->rows[static_cast<size_t>(slot.row)],
+                      right_->rows[static_cast<size_t>(
+                          slots[static_cast<size_t>(slot_id)].row)],
                       *post_filters_, *output_exprs_, &pending_);
         },
-        &filter_stats);
+        &stats);
     (*tile_seconds_)[static_cast<size_t>(t)] += tile_watch.ElapsedSeconds();
   }
-  counters_->Add(core::counter::kCandidates, batch_candidates);
   refinery.FlushTo(counters_);
-  counters_->Add(core::counter::kFilterBatches, filter_stats.batches);
-  counters_->Add(core::counter::kFilterCandidates, filter_stats.candidates);
-  if (filter_stats.simd_lanes > 0) {
-    counters_->Add(core::counter::kFilterSimdLanes, filter_stats.simd_lanes);
-  }
+  stats.FlushTo(counters_);
 }
 
 Status PartitionedSpatialJoinNode::GetNext(RowBatch* batch, bool* eos) {

@@ -101,6 +101,55 @@ TEST_F(SystemsTest, TaxiLion500AllSystemsAgree) {
 
 TEST_F(SystemsTest, G10mWwfAllSystemsAgree) { CheckWorkload(suite_.g10m_wwf); }
 
+TEST_F(SystemsTest, EveryEngineReportsTheSameProbeCounts) {
+  // SpatialSpark, standalone and ISP-MC (broadcast) all probe through the
+  // one exec::RunProbes driver, so the sFilter drops, filter candidates
+  // and refinement matches are counted identically whatever the geometry
+  // kernel or execution layout. Values pinned at scale 0.02, seed 7.
+  struct Expected {
+    const data::Workload* workload;
+    int64_t candidates;
+    int64_t matches;
+    int64_t sfilter_skipped;
+  };
+  const Expected expected[] = {
+      {&suite_.taxi_nycb, 3115, 2364, 36},
+      {&suite_.taxi_lion_100, 289, 231, 1395},
+      {&suite_.taxi_lion_500, 1909, 1780, 734},
+      {&suite_.g10m_wwf, 74, 43, 827},
+      {&suite_.hotspot_nycb, 3183, 2322, 78},
+  };
+  for (const Expected& e : expected) {
+    const data::Workload& w = *e.workload;
+    SpatialSparkSystem spark(&fs_, /*num_partitions=*/8);
+    auto spark_run = spark.Join(w.left, w.right, w.predicate);
+    ASSERT_TRUE(spark_run.ok()) << spark_run.status();
+    StandaloneMc standalone(&fs_);
+    auto standalone_run = standalone.Join(w.left, w.right, w.predicate);
+    ASSERT_TRUE(standalone_run.ok()) << standalone_run.status();
+    impala::QueryOptions broadcast;
+    broadcast.join_strategy = plan::JoinStrategy::kBroadcast;
+    IspMcSystem isp(&fs_);
+    auto isp_run = isp.Join(w.left, w.right, w.predicate, broadcast);
+    ASSERT_TRUE(isp_run.ok()) << isp_run.status();
+
+    const std::pair<const char*, const Counters*> engines[] = {
+        {"spark", &spark_run->counters},
+        {"standalone", &standalone_run->counters},
+        {"ispmc", &isp_run->metrics.counters},
+    };
+    for (const auto& [engine, counters] : engines) {
+      EXPECT_EQ(counters->Get(exec::counter::kCandidates), e.candidates)
+          << w.name << " " << engine;
+      EXPECT_EQ(counters->Get(exec::counter::kMatches), e.matches)
+          << w.name << " " << engine;
+      EXPECT_EQ(counters->Get(exec::counter::kSfilterSkipped),
+                e.sfilter_skipped)
+          << w.name << " " << engine;
+    }
+  }
+}
+
 TEST_F(SystemsTest, SparkRunRecordsMetrics) {
   SpatialSparkSystem spark(&fs_, 8);
   auto run = spark.Join(suite_.taxi_nycb.left, suite_.taxi_nycb.right,
