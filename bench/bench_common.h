@@ -30,7 +30,7 @@ class PaperBench {
  public:
   /// Flags: --scale (default 1.0), --seed, --partitions (Spark), --nodes.
   /// Probe-side flags (columnar filter pipeline, all defaulting to the
-  /// engines' defaults): --probe_batch, --hilbert, --packed.
+  /// engines' defaults): --probe_batch, --hilbert.
   explicit PaperBench(const Flags& flags)
       : scale_(flags.GetDouble("scale", 1.0)),
         seed_(static_cast<uint64_t>(flags.GetInt("seed", 2015))),
@@ -40,7 +40,6 @@ class PaperBench {
     probe_.batch_size = static_cast<int>(
         flags.GetInt("probe_batch", probe_.batch_size));
     probe_.hilbert_sort = flags.GetBool("hilbert", probe_.hilbert_sort);
-    probe_.packed_tree = flags.GetBool("packed", probe_.packed_tree);
     auto suite = data::MaterializeWorkloads(&fs_, scale_, seed_);
     CLOUDJOIN_CHECK(suite.ok()) << suite.status();
     suite_ = std::move(suite).value();

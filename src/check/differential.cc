@@ -153,22 +153,19 @@ CaseOutcome DifferentialRunner::RunCaseQuiet(const DifferentialCase& c) const {
                                             c.predicate,
                                             options_.parallel_threads,
                                             prepare)));
-  // Columnar-filter knob sweep: packed on/off × Hilbert on/off, with a
-  // deliberately tiny batch size so every case exercises partial batches
-  // and the post-sort order restoration.
-  for (bool packed : {false, true}) {
-    for (bool hilbert : {false, true}) {
-      join::ProbeOptions probe;
-      probe.batch_size = 7;
-      probe.packed_tree = packed;
-      probe.hilbert_sort = hilbert;
-      results.push_back(
-          Ok(std::string("mem/broadcast_") + (packed ? "packed" : "pointer") +
-                 (hilbert ? "_hilbert" : "_unsorted"),
-             join::BroadcastSpatialJoin(c.left.records, c.right.records,
-                                        c.predicate, nullptr,
-                                        join::PrepareOptions(), probe)));
-    }
+  // Columnar-filter knob sweep: Hilbert on/off, with a deliberately tiny
+  // batch size so every case exercises partial batches and the post-sort
+  // order restoration.
+  for (bool hilbert : {false, true}) {
+    join::ProbeOptions probe;
+    probe.batch_size = 7;
+    probe.hilbert_sort = hilbert;
+    results.push_back(
+        Ok(std::string("mem/broadcast_packed") +
+               (hilbert ? "_hilbert" : "_unsorted"),
+           join::BroadcastSpatialJoin(c.left.records, c.right.records,
+                                      c.predicate, nullptr,
+                                      join::PrepareOptions(), probe)));
   }
   for (int tiles : options_.tile_counts) {
     results.push_back(

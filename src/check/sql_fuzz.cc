@@ -320,7 +320,7 @@ std::string MutatePlanText(Rng& rng, const std::string& text) {
       return s;
     }
     case 1: {  // wrong version
-      const size_t pos = s.find("version=1");
+      const size_t pos = s.find("version=");
       if (pos != std::string::npos) s[pos + 8] = '9';
       return s;
     }
@@ -389,7 +389,6 @@ impala::QueryOptions RandomOptions(Rng& rng) {
   static const int kBatches[] = {3, 7, 64, 256};
   opts.probe.batch_size = kBatches[rng.UniformInt(4)];
   opts.probe.hilbert_sort = rng.Bernoulli(0.5);
-  opts.probe.packed_tree = rng.Bernoulli(0.5);
   opts.probe.sfilter = rng.Bernoulli(0.5);
   opts.scan.zone_map = rng.Bernoulli(0.8);
   switch (rng.UniformInt(4)) {

@@ -291,7 +291,7 @@ class SexprParser {
 // ---------------------------------------------------------------------------
 
 constexpr std::string_view kPlanHeaderPrefix = "cloudjoin-plan version=";
-constexpr int kPlanVersion = 1;
+constexpr int kPlanVersion = 2;
 
 const char* KindToken(PlanNode::Kind kind) {
   switch (kind) {
@@ -545,9 +545,6 @@ Result<std::unique_ptr<PlanNode>> ParseNode(LineCursor* cursor) {
           node->probe.batch_size = static_cast<int>(batch);
         } else if (key == "probe_hilbert") {
           CLOUDJOIN_ASSIGN_OR_RETURN(node->probe.hilbert_sort,
-                                     ParseBoolValue(value));
-        } else if (key == "probe_packed") {
-          CLOUDJOIN_ASSIGN_OR_RETURN(node->probe.packed_tree,
                                      ParseBoolValue(value));
         } else if (key == "probe_sfilter") {
           CLOUDJOIN_ASSIGN_OR_RETURN(node->probe.sfilter,

@@ -28,24 +28,24 @@ struct BatchStats {
 /// Runs probes [0, n) against the right-side index in
 /// `options.batch_size`-sized row batches: collect the probe envelopes of
 /// one batch, optionally Hilbert-sort them so consecutive tree walks share
-/// subtrees, filter the whole batch into a dense candidate buffer (packed
-/// SoA tree or pointer tree per `options.packed_tree`), then hand the
-/// candidates to `refine` with the *original* probe order restored — so
-/// every knob combination produces identical output, byte for byte, and
-/// the engines' result contracts (left-major order, parallel == serial)
-/// survive unchanged.
+/// subtrees, filter the whole batch through the packed SoA layout into a
+/// dense candidate buffer, then hand the candidates to `refine` with the
+/// *original* probe order restored — so every knob combination produces
+/// identical output, byte for byte, and the engines' result contracts
+/// (left-major order, parallel == serial) survive unchanged.
 ///
-/// `envelope_at(i)` returns probe i's query envelope; `refine(i, id)` is
-/// called for every candidate, probes ascending, per-probe candidates in
-/// tree emit order. `packed` may be null only when `options.packed_tree`
-/// is false.
+/// `packed` is the layout of `tree` (non-null); `tree` supplies the bounds
+/// the Hilbert keys are taken over. `envelope_at(i)` returns probe i's
+/// query envelope; `refine(i, id)` is called for every candidate, probes
+/// ascending, per-probe candidates in tree emit order
+/// (StrTree::VisitQuery order).
 template <typename EnvelopeAt, typename Refine>
 void RunBatchedProbes(int64_t n, const StrTree& tree,
                       const PackedStrTree* packed, const ProbeOptions& options,
                       EnvelopeAt&& envelope_at, Refine&& refine,
                       BatchStats* stats) {
   CLOUDJOIN_CHECK(options.batch_size >= 1);
-  CLOUDJOIN_CHECK(!options.packed_tree || packed != nullptr);
+  CLOUDJOIN_CHECK(packed != nullptr);
   const int64_t batch_size = options.batch_size;
   const geom::HilbertEncoder encoder(tree.bounds());
 
@@ -87,14 +87,7 @@ void RunBatchedProbes(int64_t n, const StrTree& tree,
     }
 
     sink.Clear();
-    if (options.packed_tree) {
-      stats->simd_lanes += packed->BatchQuery(batch, &sink);
-    } else {
-      for (int32_t p = 0; p < m; ++p) {
-        tree.VisitQuery(batch.At(static_cast<size_t>(p)),
-                        [&](int64_t id) { sink.Push(p, id); });
-      }
-    }
+    stats->simd_lanes += packed->BatchQuery(batch, &sink);
     ++stats->batches;
     stats->candidates += static_cast<int64_t>(sink.size());
 

@@ -8,36 +8,24 @@ namespace cloudjoin::index {
 /// Tuning for the probe (filter) side of the broadcast join: how left
 /// records are batched against the right-side index.
 ///
-/// The defaults enable the columnar path: probes are collected into
-/// fixed-size row batches, Hilbert-sorted for subtree locality, and tested
-/// against the packed SoA tree with the branch-free batch kernel. Every
-/// combination produces the same pairs in the same order — the knobs trade
-/// only constant factors (batching amortizes dispatch, Hilbert buys cache
-/// locality, the packed tree buys vectorization), which is exactly the
-/// execution-layout axis the paper measures between ISP-MC's row batches
-/// and SpatialSpark's per-record closures.
+/// Probes are always tested against the packed SoA tree with the
+/// branch-free batch kernel; the defaults collect them into fixed-size row
+/// batches, Hilbert-sorted for subtree locality. Every combination produces
+/// the same pairs in the same order — the knobs trade only constant factors
+/// (batching amortizes dispatch, Hilbert buys cache locality), which is
+/// exactly the execution-layout axis the paper measures between ISP-MC's
+/// row batches and SpatialSpark's per-record closures.
 struct ProbeOptions {
   /// Probes per EnvelopeBatch. 1 degenerates to per-record probing.
   int batch_size = 256;
   /// Sort each batch by the Hilbert key of the probe envelope's center
   /// before filtering (original probe order is restored for refinement).
   bool hilbert_sort = true;
-  /// Filter through the PackedStrTree SoA layout instead of the pointer
-  /// StrTree.
-  bool packed_tree = true;
   /// Consult the right side's sFilter membership bitmap (when the build
   /// carries one) before batch descent, dropping probes with provably zero
   /// candidates. Results are byte-identical either way; the counter
   /// join.sfilter_skipped records the drops.
   bool sfilter = true;
-
-  static ProbeOptions PerRecord() {
-    ProbeOptions options;
-    options.batch_size = 1;
-    options.hilbert_sort = false;
-    options.packed_tree = false;
-    return options;
-  }
 
   /// Canonical rendering of the knobs. Cache keys embed this so a cached
   /// broadcast index is never shared across incompatible probe configs
@@ -46,7 +34,6 @@ struct ProbeOptions {
   std::string Fingerprint() const {
     return "batch=" + std::to_string(batch_size) +
            ":hilbert=" + std::to_string(hilbert_sort ? 1 : 0) +
-           ":packed=" + std::to_string(packed_tree ? 1 : 0) +
            ":sfilter=" + std::to_string(sfilter ? 1 : 0);
   }
 };

@@ -287,18 +287,21 @@ TEST(BatchProberTest, AllKnobCombosReplayPerRecordSequence) {
     return sequence;
   };
 
-  const auto baseline = run(ProbeOptions::PerRecord());
+  // Reference: one pointer-tree walk per probe, in probe order.
+  std::vector<std::pair<int64_t, int64_t>> reference;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    tree.VisitQuery(probes[i], [&](int64_t id) {
+      reference.emplace_back(static_cast<int64_t>(i), id);
+    });
+  }
+  ASSERT_FALSE(reference.empty());
   for (int batch_size : {1, 7, 64, 1024}) {
-    for (bool packed_tree : {false, true}) {
-      for (bool hilbert : {false, true}) {
-        ProbeOptions options;
-        options.batch_size = batch_size;
-        options.packed_tree = packed_tree;
-        options.hilbert_sort = hilbert;
-        EXPECT_EQ(run(options), baseline)
-            << "batch=" << batch_size << " packed=" << packed_tree
-            << " hilbert=" << hilbert;
-      }
+    for (bool hilbert : {false, true}) {
+      ProbeOptions options;
+      options.batch_size = batch_size;
+      options.hilbert_sort = hilbert;
+      EXPECT_EQ(run(options), reference)
+          << "batch=" << batch_size << " hilbert=" << hilbert;
     }
   }
 }
@@ -334,31 +337,55 @@ std::vector<join::IdGeometry> GridCells(int n, double extent) {
   return out;
 }
 
+/// The per-record reference join: each probe walks a pointer StrTree over
+/// the right envelopes with VisitQuery and refines its candidates in emit
+/// order.
+std::vector<join::IdPair> ReferenceJoin(
+    const std::vector<join::IdGeometry>& left,
+    const std::vector<join::IdGeometry>& right,
+    const join::SpatialPredicate& predicate) {
+  std::vector<StrTree::Entry> entries;
+  for (size_t i = 0; i < right.size(); ++i) {
+    Envelope env = right[i].geometry.envelope();
+    env.ExpandBy(predicate.FilterRadius());
+    entries.push_back(StrTree::Entry{env, static_cast<int64_t>(i)});
+  }
+  const StrTree tree(std::move(entries));
+  std::vector<join::IdPair> out;
+  for (const join::IdGeometry& probe : left) {
+    tree.VisitQuery(probe.geometry.envelope(), [&](int64_t slot) {
+      const join::IdGeometry& r = right[static_cast<size_t>(slot)];
+      if (join::RefinePair(probe.geometry, r.geometry, predicate)) {
+        out.emplace_back(probe.id, r.id);
+      }
+    });
+  }
+  return out;
+}
+
 TEST(ProbeOptionsJoinTest, ByteIdenticalAcrossKnobs) {
   auto left = GridPoints(300, 100.0);
   auto right = GridCells(40, 100.0);
   const auto predicate = join::SpatialPredicate::Within();
 
-  const auto baseline = join::BroadcastSpatialJoin(
-      left, right, predicate, nullptr, join::PrepareOptions(),
-      ProbeOptions::PerRecord());
-  EXPECT_FALSE(baseline.empty());
+  const auto reference = ReferenceJoin(left, right, predicate);
+  EXPECT_FALSE(reference.empty());
 
   for (int batch_size : {1, 7, 256}) {
-    for (bool packed_tree : {false, true}) {
-      for (bool hilbert : {false, true}) {
+    for (bool hilbert : {false, true}) {
+      for (bool sfilter : {false, true}) {
         ProbeOptions options;
         options.batch_size = batch_size;
-        options.packed_tree = packed_tree;
         options.hilbert_sort = hilbert;
+        options.sfilter = sfilter;
         Counters counters;
         auto pairs = join::BroadcastSpatialJoin(left, right, predicate,
                                                 &counters,
                                                 join::PrepareOptions(),
                                                 options);
-        EXPECT_EQ(pairs, baseline)
-            << "batch=" << batch_size << " packed=" << packed_tree
-            << " hilbert=" << hilbert;
+        EXPECT_EQ(pairs, reference)
+            << "batch=" << batch_size << " hilbert=" << hilbert
+            << " sfilter=" << sfilter;
         EXPECT_GT(counters.Get("join.filter_batches"), 0);
         EXPECT_GT(counters.Get("join.filter_candidates"), 0);
       }
@@ -371,17 +398,18 @@ TEST(ProbeOptionsJoinTest, ParallelMatchesSerialUnderAllKnobs) {
   auto right = GridCells(30, 100.0);
   const auto predicate = join::SpatialPredicate::Within();
   const auto serial = join::BroadcastSpatialJoin(left, right, predicate);
+  EXPECT_EQ(serial, ReferenceJoin(left, right, predicate));
 
-  for (bool packed_tree : {false, true}) {
+  for (bool hilbert : {false, true}) {
     for (int threads : {1, 3, 8}) {
       ProbeOptions options;
       options.batch_size = 16;
-      options.packed_tree = packed_tree;
+      options.hilbert_sort = hilbert;
       auto parallel = join::ParallelBroadcastSpatialJoin(
           left, right, predicate, threads, join::PrepareOptions(), nullptr,
           options);
       EXPECT_EQ(parallel, serial)
-          << "threads=" << threads << " packed=" << packed_tree;
+          << "threads=" << threads << " hilbert=" << hilbert;
     }
   }
 }
@@ -389,12 +417,12 @@ TEST(ProbeOptionsJoinTest, ParallelMatchesSerialUnderAllKnobs) {
 TEST(ProbeOptionsTest, FingerprintsAreDistinct) {
   std::set<std::string> fingerprints;
   for (int batch_size : {1, 64, 256}) {
-    for (bool packed_tree : {false, true}) {
-      for (bool hilbert : {false, true}) {
+    for (bool hilbert : {false, true}) {
+      for (bool sfilter : {false, true}) {
         ProbeOptions options;
         options.batch_size = batch_size;
-        options.packed_tree = packed_tree;
         options.hilbert_sort = hilbert;
+        options.sfilter = sfilter;
         EXPECT_TRUE(fingerprints.insert(options.Fingerprint()).second);
       }
     }
