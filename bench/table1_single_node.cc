@@ -28,16 +28,19 @@ void Run(const Flags& flags) {
 
   // --prepared=1 switches every system onto prepared-geometry refinement
   // (identical results, faster probe phase); the paper's faithful exact
-  // refinement is the default. --probe_batch/--hilbert/--packed tune the
-  // columnar filter pipeline the same way across all three systems.
+  // refinement is the default. --probe_batch/--hilbert tune the columnar
+  // filter pipeline the same way across all three systems.
   const bool prepared = flags.GetBool("prepared", false);
   join::PrepareOptions prepare;
   prepare.enabled = prepared;
 
   sim::ClusterSpec node = sim::ClusterSpec::InHouseSingleNode();
-  std::printf("cluster: %s\nprepared refinement: %s\nprobe pipeline: %s\n\n",
-              node.ToString().c_str(), prepared ? "on" : "off",
-              bench.probe().Fingerprint().c_str());
+  std::printf(
+      "cluster: %s\nprepared refinement: %s\nprobe pipeline: batch=%d "
+      "hilbert=%d sfilter=%d\n\n",
+      node.ToString().c_str(), prepared ? "on" : "off",
+      bench.probe().batch_size, bench.probe().hilbert_sort ? 1 : 0,
+      bench.probe().sfilter ? 1 : 0);
   PrintRowHeader("experiment",
                  {"SpatialSpark", "ISP-MC", "Standalone", "SS/ISP", "infra%"});
 

@@ -198,7 +198,6 @@ std::string BroadcastFingerprint::Key() const {
   if (cache_parsed) key += "|parsed";
   if (prepare_geometries) key += "|prepgrid";
   if (!format.empty()) key += "|fmt=" + format;
-  if (!probe.empty()) key += "|probe=" + probe;
   // Free-form text goes last so the fixed fields parse unambiguously.
   key += "|filters=" + right_filters;
   return key;
@@ -302,7 +301,6 @@ Result<QueryResult> ImpalaRuntime::ExecutePlan(const QueryPlan& plan,
         }
         fingerprint.cache_parsed = shape.leaf->cache_parsed_geometries;
         fingerprint.prepare_geometries = shape.leaf->prepare_geometries;
-        fingerprint.probe = shape.leaf->probe.Fingerprint();
       }
       if (right_table->format == exec::TableFormat::kColumnar) {
         fingerprint.format = "columnar";

@@ -14,7 +14,6 @@
 #include "impala/plan.h"
 #include "impala/query_options.h"
 #include "impala/types.h"
-#include "index/probe_options.h"
 #include "plan/planner.h"
 
 namespace cloudjoin::impala {
@@ -48,11 +47,6 @@ struct BroadcastFingerprint {
   /// the two formats build through different scan paths, so a table
   /// re-registered under a new format must never reuse the old build.
   std::string format;
-  /// Probe-side tuning (`index::ProbeOptions::Fingerprint()`), keyed so a
-  /// cached index is never handed to a query running an incompatible probe
-  /// configuration (e.g. an A/B sweep comparing packed vs pointer walks
-  /// must not let one arm's warm cache mask the other arm's build cost).
-  std::string probe;
 
   /// Canonical cache-key rendering (injective over the fields above).
   std::string Key() const;

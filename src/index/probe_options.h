@@ -1,8 +1,6 @@
 #ifndef CLOUDJOIN_INDEX_PROBE_OPTIONS_H_
 #define CLOUDJOIN_INDEX_PROBE_OPTIONS_H_
 
-#include <string>
-
 namespace cloudjoin::index {
 
 /// Tuning for the probe (filter) side of the broadcast join: how left
@@ -27,15 +25,6 @@ struct ProbeOptions {
   /// join.sfilter_skipped records the drops.
   bool sfilter = true;
 
-  /// Canonical rendering of the knobs. Cache keys embed this so a cached
-  /// broadcast index is never shared across incompatible probe configs
-  /// (the packed layout and its counters differ even though results do
-  /// not).
-  std::string Fingerprint() const {
-    return "batch=" + std::to_string(batch_size) +
-           ":hilbert=" + std::to_string(hilbert_sort ? 1 : 0) +
-           ":sfilter=" + std::to_string(sfilter ? 1 : 0);
-  }
 };
 
 }  // namespace cloudjoin::index

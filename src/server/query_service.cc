@@ -207,8 +207,7 @@ Result<KernelJoinResponse> QueryService::ExecuteBroadcastJoin(
   const std::string key =
       "kernel|" + request.right_name +
       "|v=" + std::to_string(request.right_version) + "|" +
-      request.predicate.ToString() + "|" + request.prepare.Fingerprint() +
-      "|" + request.probe.Fingerprint();
+      request.predicate.ToString() + "|" + request.prepare.Fingerprint();
 
   std::shared_ptr<const join::BroadcastIndex> index;
   if (options_.enable_cache) {

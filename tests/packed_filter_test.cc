@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "common/counters.h"
@@ -412,22 +411,6 @@ TEST(ProbeOptionsJoinTest, ParallelMatchesSerialUnderAllKnobs) {
           << "threads=" << threads << " hilbert=" << hilbert;
     }
   }
-}
-
-TEST(ProbeOptionsTest, FingerprintsAreDistinct) {
-  std::set<std::string> fingerprints;
-  for (int batch_size : {1, 64, 256}) {
-    for (bool hilbert : {false, true}) {
-      for (bool sfilter : {false, true}) {
-        ProbeOptions options;
-        options.batch_size = batch_size;
-        options.hilbert_sort = hilbert;
-        options.sfilter = sfilter;
-        EXPECT_TRUE(fingerprints.insert(options.Fingerprint()).second);
-      }
-    }
-  }
-  EXPECT_EQ(fingerprints.size(), 12u);
 }
 
 }  // namespace

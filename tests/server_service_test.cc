@@ -88,6 +88,31 @@ TEST_F(QueryServiceTest, SecondQueryHitsIndexCache) {
   EXPECT_GT(stats.cache.bytes, 0);
 }
 
+TEST_F(QueryServiceTest, ProbeOptionsShareOneCachedBuild) {
+  // Probe options change how the left side streams through the index,
+  // never the built right side, so two queries that differ only in them
+  // share one cache entry: the second is a hit.
+  auto service = MakeService(ServiceOptions());
+  Session* session = service->CreateSession();
+  impala::QueryOptions tuned;
+  tuned.probe.batch_size = 7;
+  tuned.probe.hilbert_sort = false;
+  tuned.probe.sfilter = false;
+
+  Result<QueryResponse> first = service->Execute(session, TaxiNycbSql());
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_FALSE(first->index_cache_hit);
+  Result<QueryResponse> second =
+      service->Execute(session, TaxiNycbSql(), tuned);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_TRUE(second->index_cache_hit);
+  EXPECT_EQ(RowsToPairs(first->result.rows), RowsToPairs(second->result.rows));
+
+  ServiceStats stats = service->GetStats();
+  EXPECT_EQ(stats.cache.insertions, 1);
+  EXPECT_EQ(stats.cache.hits, 1);
+}
+
 TEST_F(QueryServiceTest, ResultsByteIdenticalWithCacheOnAndOff) {
   ServiceOptions cached;
   cached.enable_cache = true;
