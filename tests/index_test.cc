@@ -4,9 +4,6 @@
 #include <set>
 
 #include "common/rng.h"
-#include "index/grid_index.h"
-#include "index/quadtree.h"
-#include "index/rtree.h"
 #include "index/sfilter.h"
 #include "index/spatial_partitioner.h"
 #include "index/str_tree.h"
@@ -160,69 +157,6 @@ TEST_P(StrTreeProperty, NearestMatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StrTreeProperty, ::testing::Range(1, 9));
-
-class RTreeProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(RTreeProperty, QueryMatchesBruteForce) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 53);
-  const int n = 20 + static_cast<int>(rng.UniformInt(800));
-  auto entries = RandomEntries(&rng, n, 500.0);
-  RTree tree;
-  for (const auto& e : entries) tree.Insert(e.envelope, e.id);
-  EXPECT_EQ(tree.size(), n);
-  for (int trial = 0; trial < 40; ++trial) {
-    double x = rng.Uniform(0, 500);
-    double y = rng.Uniform(0, 500);
-    double w = rng.Uniform(0, 120);
-    Envelope query(x, y, x + w, y + w);
-    std::vector<int64_t> hits;
-    tree.Query(query, &hits);
-    std::set<int64_t> got(hits.begin(), hits.end());
-    EXPECT_EQ(got.size(), hits.size());
-    EXPECT_EQ(got, BruteQuery(entries, query));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RTreeProperty, ::testing::Range(1, 7));
-
-TEST(RTreeTest, HeightGrowsWithSize) {
-  Rng rng(5);
-  RTree tree;
-  EXPECT_EQ(tree.height(), 1);
-  auto entries = RandomEntries(&rng, 1000, 100.0);
-  for (const auto& e : entries) tree.Insert(e.envelope, e.id);
-  EXPECT_GE(tree.height(), 3);
-}
-
-class GridProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(GridProperty, QueryMatchesBruteForce) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 61);
-  Envelope extent(0, 0, 1000, 1000);
-  UniformGrid grid(extent, 16, 16);
-  auto entries = RandomEntries(&rng, 600, 1000.0);
-  for (const auto& e : entries) grid.Insert(e.envelope, e.id);
-  EXPECT_EQ(grid.size(), 600);
-  for (int trial = 0; trial < 40; ++trial) {
-    double x = rng.Uniform(0, 1000);
-    double y = rng.Uniform(0, 1000);
-    double w = rng.Uniform(0, 150);
-    Envelope query(x, y, x + w, y + w);
-    std::vector<int64_t> hits;
-    grid.Query(query, &hits);
-    std::set<int64_t> got(hits.begin(), hits.end());
-    EXPECT_EQ(got.size(), hits.size()) << "grid must deduplicate";
-    EXPECT_EQ(got, BruteQuery(entries, query));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, GridProperty, ::testing::Range(1, 7));
-
-TEST(GridTest, CellOfClamps) {
-  UniformGrid grid(Envelope(0, 0, 10, 10), 5, 5);
-  EXPECT_EQ(grid.CellOf(-100, -100), (std::pair<int, int>{0, 0}));
-  EXPECT_EQ(grid.CellOf(100, 100), (std::pair<int, int>{4, 4}));
-}
 
 TEST(PartitionerTest, TilesCoverExtentWithoutOverlap) {
   Rng rng(7);
@@ -435,58 +369,6 @@ TEST(SFilterTest, DegenerateExtentStaysConservative) {
   ASSERT_NE(filter, nullptr);
   EXPECT_TRUE(filter->MightIntersect(Envelope(5, 5, 5, 5)));
   EXPECT_TRUE(filter->MightIntersect(Envelope(0, 0, 10, 10)));
-}
-
-}  // namespace
-}  // namespace cloudjoin::index
-
-namespace cloudjoin::index {
-namespace {
-
-class QuadtreeProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(QuadtreeProperty, QueryMatchesBruteForce) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 71);
-  geom::Envelope extent(0, 0, 1000, 1000);
-  Quadtree tree(extent, /*max_depth=*/10, /*node_capacity=*/6);
-  const int n = 100 + static_cast<int>(rng.UniformInt(1000));
-  auto entries = RandomEntries(&rng, n, 1000.0);
-  for (const auto& e : entries) tree.Insert(e.envelope, e.id);
-  EXPECT_EQ(tree.size(), n);
-  EXPECT_GT(tree.NumNodes(), 1);
-  for (int trial = 0; trial < 40; ++trial) {
-    double x = rng.Uniform(0, 1000);
-    double y = rng.Uniform(0, 1000);
-    double w = rng.Uniform(0, 150);
-    geom::Envelope query(x, y, x + w, y + w);
-    std::vector<int64_t> hits;
-    tree.Query(query, &hits);
-    std::set<int64_t> got(hits.begin(), hits.end());
-    EXPECT_EQ(got.size(), hits.size()) << "duplicate results";
-    EXPECT_EQ(got, BruteQuery(entries, query));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(QuadSeeds, QuadtreeProperty, ::testing::Range(1, 7));
-
-TEST(QuadtreeTest, RecordsOutsideExtentStayQueryable) {
-  Quadtree tree(geom::Envelope(0, 0, 10, 10));
-  tree.Insert(geom::Envelope(20, 20, 21, 21), 7);
-  std::vector<int64_t> hits;
-  tree.Query(geom::Envelope(19, 19, 22, 22), &hits);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0], 7);
-}
-
-TEST(QuadtreeTest, SplitsUnderLoad) {
-  Rng rng(9);
-  Quadtree tree(geom::Envelope(0, 0, 100, 100), 8, 4);
-  for (int i = 0; i < 200; ++i) {
-    double x = rng.Uniform(0, 99);
-    double y = rng.Uniform(0, 99);
-    tree.Insert(geom::Envelope(x, y, x + 0.5, y + 0.5), i);
-  }
-  EXPECT_GT(tree.NumNodes(), 20);
 }
 
 }  // namespace
