@@ -1,7 +1,9 @@
 #include "impala/plan_serialization.h"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -542,6 +544,12 @@ Result<std::unique_ptr<PlanNode>> ParseNode(LineCursor* cursor) {
                                      ParseBoolValue(value));
         } else if (key == "probe_batch") {
           CLOUDJOIN_ASSIGN_OR_RETURN(int64_t batch, ParseIntValue(value));
+          if (batch < 1 || batch > std::numeric_limits<int>::max()) {
+            return Status::ParseError("probe_batch out of range [1, " +
+                                      std::to_string(
+                                          std::numeric_limits<int>::max()) +
+                                      "]: " + std::string(value));
+          }
           node->probe.batch_size = static_cast<int>(batch);
         } else if (key == "probe_hilbert") {
           CLOUDJOIN_ASSIGN_OR_RETURN(node->probe.hilbert_sort,

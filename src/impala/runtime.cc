@@ -239,6 +239,7 @@ Result<QueryResult> ImpalaRuntime::ExecutePlan(const QueryPlan& plan,
                                                BroadcastProvider* provider) {
   QueryResult result;
   CLOUDJOIN_ASSIGN_OR_RETURN(PlanShape shape, ResolveShape(plan));
+  CLOUDJOIN_RETURN_IF_ERROR(shape.leaf->probe.Validate());
   result.metrics.explain = plan.Explain();
   result.metrics.num_fragments = plan.num_fragments;
   result.metrics.plan_text = SerializePlan(plan);

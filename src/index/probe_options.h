@@ -1,6 +1,10 @@
 #ifndef CLOUDJOIN_INDEX_PROBE_OPTIONS_H_
 #define CLOUDJOIN_INDEX_PROBE_OPTIONS_H_
 
+#include <string>
+
+#include "common/status.h"
+
 namespace cloudjoin::index {
 
 /// Tuning for the probe (filter) side of the broadcast join: how left
@@ -25,6 +29,16 @@ struct ProbeOptions {
   /// join.sfilter_skipped records the drops.
   bool sfilter = true;
 
+  /// InvalidArgument unless every knob is usable. Client-supplied options
+  /// (SQL query options, kernel requests, stream registrations) are
+  /// validated with this where they enter; the probe driver itself CHECKs.
+  Status Validate() const {
+    if (batch_size < 1) {
+      return Status::InvalidArgument("probe batch_size must be >= 1, got " +
+                                     std::to_string(batch_size));
+    }
+    return Status::OK();
+  }
 };
 
 }  // namespace cloudjoin::index

@@ -189,6 +189,7 @@ std::vector<QueryService::PlanLogEntry> QueryService::RecentPlans() const {
 Result<KernelJoinResponse> QueryService::ExecuteBroadcastJoin(
     std::span<const join::IdGeometry> left, const KernelJoinRequest& request,
     const std::function<std::vector<join::IdGeometry>()>& right_loader) {
+  CLOUDJOIN_RETURN_IF_ERROR(request.probe.Validate());
   queries_submitted_.fetch_add(1);
   next_query_id_.fetch_add(1);
 

@@ -300,6 +300,76 @@ TEST_F(QueryServiceTest, BypassKernelJoinCachesIndex) {
   EXPECT_EQ(loads.load(), 2);
 }
 
+// Probe options are client input on every entry point: a bad batch size
+// comes back as an error Status, never an abort, and the same service
+// answers the next well-formed query.
+
+TEST_F(QueryServiceTest, BadProbeBatchInPlanTextIsAParseError) {
+  auto service = MakeService(ServiceOptions());
+  Session* session = service->CreateSession();
+  Result<QueryResponse> good = service->Execute(session, TaxiNycbSql());
+  ASSERT_TRUE(good.ok()) << good.status();
+  const std::string& plan_text = good->plan_text;
+  const size_t pos = plan_text.find("probe_batch ");
+  ASSERT_NE(pos, std::string::npos);
+  const size_t end = plan_text.find('\n', pos);
+  for (const char* bad : {"0", "-5", "4294967297"}) {
+    std::string text = plan_text;
+    text.replace(pos, end - pos, std::string("probe_batch ") + bad);
+    Result<QueryResponse> replay = service->ExecutePlan(session, text);
+    ASSERT_FALSE(replay.ok()) << bad;
+    EXPECT_EQ(replay.status().code(), StatusCode::kParseError) << bad;
+  }
+  Result<QueryResponse> again = service->ExecutePlan(session, plan_text);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(RowsToPairs(again->result.rows), RowsToPairs(good->result.rows));
+}
+
+TEST_F(QueryServiceTest, BadProbeBatchInQueryOptionsIsInvalidArgument) {
+  auto service = MakeService(ServiceOptions());
+  Session* session = service->CreateSession();
+  impala::QueryOptions bad;
+  bad.probe.batch_size = 0;
+  Result<QueryResponse> rejected =
+      service->Execute(session, TaxiNycbSql(), bad);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+  Result<QueryResponse> good = service->Execute(session, TaxiNycbSql());
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_FALSE(good->result.rows.empty());
+}
+
+TEST_F(QueryServiceTest, BadProbeBatchInKernelRequestIsInvalidArgument) {
+  auto service = std::make_unique<QueryService>(&fs_, ServiceOptions());
+  auto parse = [](const std::string& wkt) {
+    auto geometry = geom::ReadWkt(wkt);
+    CLOUDJOIN_CHECK(geometry.ok()) << geometry.status();
+    return std::move(geometry).value();
+  };
+  std::vector<join::IdGeometry> left;
+  left.push_back({1, parse("POINT (2 2)")});
+  auto loader = [&parse] {
+    std::vector<join::IdGeometry> right;
+    right.push_back({10, parse("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))")});
+    return right;
+  };
+  KernelJoinRequest request;
+  request.right_name = "square";
+  request.predicate = join::SpatialPredicate::Within();
+  request.probe.batch_size = 0;
+  Result<KernelJoinResponse> rejected =
+      service->ExecuteBroadcastJoin(left, request, loader);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+  request.probe = join::ProbeOptions();
+  Result<KernelJoinResponse> good =
+      service->ExecuteBroadcastJoin(left, request, loader);
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_EQ(good->pairs, (std::vector<join::IdPair>{{1, 10}}));
+}
+
 TEST_F(QueryServiceTest, StatsToStringMentionsEverySection) {
   auto service = MakeService(ServiceOptions());
   Session* session = service->CreateSession();

@@ -640,6 +640,29 @@ TEST_F(RegistryTest, RegisterRejectsUnsuitableQueries) {
   EXPECT_FALSE(registry.Register(WithinSql(), options, ignore).ok());
 }
 
+TEST_F(RegistryTest, RegisterRejectsBadProbeOptions) {
+  // A zero batch size is refused at registration as kInvalidArgument
+  // (it used to abort the process at the next window probe), and the
+  // registry keeps serving well-formed queries.
+  ContinuousQueryRegistry registry(service_.get(), &fs_);
+  std::vector<WindowResult> results;
+  auto collect = [&](const WindowResult& result) {
+    results.push_back(result);
+  };
+  StreamQueryOptions bad = TumblingOptions(10);
+  bad.probe.batch_size = 0;
+  auto rejected = registry.Register(WithinSql(), bad, collect);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+  auto id = registry.Register(WithinSql(), TumblingOptions(10), collect);
+  ASSERT_TRUE(id.ok()) << id.status();
+  registry.Ingest(Event(100, 1, "POINT (5 5)"));
+  registry.Flush();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].pairs, (std::vector<IdPair>{{100, 1}}));
+}
+
 TEST_F(RegistryTest, UnregisterStopsDelivery) {
   ContinuousQueryRegistry registry(service_.get(), &fs_);
   int windows = 0;
