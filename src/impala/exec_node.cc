@@ -46,20 +46,19 @@ class SpatialRefinery {
         predicate_(PredicateOf(*spec)),
         refiner_(right, &predicate_) {}
 
-  /// Per-probe setup (candidates arrive grouped by probe): prepares the
-  /// UDF argument slots once per probe row; only the right geometry slot
-  /// changes per candidate.
-  void BeginProbe(const std::string& left_wkt) {
-    if (cache_parsed_) return;
-    udf_args_.resize(has_distance_ ? 3 : 2);
-    udf_args_[0] = left_wkt;
-    if (has_distance_) udf_args_[2] = spec_->distance;
-  }
-
-  /// Exact test for candidate pair (left_geom, right slot `id`); prepared
-  /// grid usage lands in `stats`.
-  bool Refine(const geosim::Geometry& left_geom, size_t id,
+  /// Exact test for candidate pair (probe `p`, right slot `id`); prepared
+  /// grid usage lands in `stats`. Candidates arrive grouped by probe, so
+  /// the UDF argument slots are prepared once per probe row; only the
+  /// right geometry slot changes per candidate.
+  bool Refine(int64_t p, const std::string& left_wkt,
+              const geosim::Geometry& left_geom, size_t id,
               core::RefineStats* stats) {
+    if (!cache_parsed_ && p != current_probe_) {
+      current_probe_ = p;
+      udf_args_.resize(has_distance_ ? 3 : 2);
+      udf_args_[0] = left_wkt;
+      if (has_distance_) udf_args_[2] = spec_->distance;
+    }
     bool match = false;
     if (refiner_.TryPrepared(left_geom, id, stats, &match)) {
       // Prepared grid answered; nothing further to evaluate.
@@ -104,38 +103,9 @@ class SpatialRefinery {
   core::SpatialPredicate predicate_;
   core::GeosRefiner refiner_;
   int64_t refinements_ = 0;
+  int64_t current_probe_ = -1;   // probe the UDF arguments were set up for
   std::vector<Value> udf_args_;  // scratch, reused across pairs
 };
-
-/// Parse phase shared by both spatial join nodes: materializes the
-/// batch's probe geometries (the paper's second parsing site) through the
-/// core's one WKT entry point, dropping null/bad geometry rows under the
-/// unified left-side counters.
-void ParseProbeBatch(const RowBatch& left_rows, int left_geom_slot,
-                     Counters* counters, std::vector<const Row*>* probe_rows,
-                     std::vector<const std::string*>* probe_wkt,
-                     std::vector<std::unique_ptr<geosim::Geometry>>* geoms) {
-  probe_rows->clear();
-  probe_wkt->clear();
-  geoms->clear();
-  for (int r = 0; r < left_rows.NumRows(); ++r) {
-    const Row& left_row = left_rows.row(r);
-    const auto* left_wkt =
-        std::get_if<std::string>(&left_row[static_cast<size_t>(left_geom_slot)]);
-    if (left_wkt == nullptr) {
-      counters->Add(core::counter::kLeftMalformed, 1);
-      continue;
-    }
-    auto parsed = core::ParseGeosWkt(*left_wkt);
-    if (!parsed.ok()) {
-      counters->Add(core::counter::kLeftBadGeom, 1);
-      continue;
-    }
-    probe_rows->push_back(&left_row);
-    probe_wkt->push_back(left_wkt);
-    geoms->push_back(std::move(parsed).value());
-  }
-}
 
 /// Post-join conjuncts + output projection for one matched pair.
 void EmitJoinRow(const Row& left_row, const Row& right_row,
@@ -453,9 +423,9 @@ int64_t BroadcastRight::MemoryBytes() const {
   return total;
 }
 
-// --------------------------------------------------------- SpatialJoin ----
+// ----------------------------------------------------------- ProbeJoin ----
 
-SpatialJoinNode::SpatialJoinNode(
+ProbeJoinNode::ProbeJoinNode(
     std::unique_ptr<ExecNode> left_child, const BroadcastRight* right,
     const SpatialJoinSpec* spec,
     const std::vector<std::unique_ptr<Expr>>* post_filters,
@@ -470,48 +440,11 @@ SpatialJoinNode::SpatialJoinNode(
       counters_(counters),
       probe_(probe) {}
 
-Status SpatialJoinNode::Open() { return left_child_->Open(); }
+Status ProbeJoinNode::Open() { return left_child_->Open(); }
 
-void SpatialJoinNode::Close() { left_child_->Close(); }
+void ProbeJoinNode::Close() { left_child_->Close(); }
 
-void SpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
-  ParseProbeBatch(left_rows, spec_->left_geom_slot, counters_, &probe_rows_,
-                  &probe_wkt_, &probe_geoms_);
-  if (probe_rows_.empty()) return;
-
-  // Filter + refine: the whole row batch goes through the shared driver
-  // (sFilter, packed tree, Hilbert ordering per probe_), and candidates
-  // come back probe-ascending so output row order matches per-row
-  // execution.
-  SpatialRefinery refinery(right_, spec_, cache_parsed_);
-  core::ProbeStats stats;
-  int64_t current_probe = -1;
-  core::RunProbes(
-      static_cast<int64_t>(probe_geoms_.size()), *right_, probe_,
-      [&](int64_t i) {
-        return probe_geoms_[static_cast<size_t>(i)]->getEnvelopeInternal();
-      },
-      [&](int64_t i, int64_t id) {
-        if (i != current_probe) {
-          // First candidate of probe i: set up the per-probe refinement
-          // state (candidates arrive grouped by probe, in row order).
-          current_probe = i;
-          refinery.BeginProbe(*probe_wkt_[static_cast<size_t>(i)]);
-        }
-        return refinery.Refine(*probe_geoms_[static_cast<size_t>(i)],
-                               static_cast<size_t>(id), &stats.refine);
-      },
-      [&](int64_t i, int64_t id) {
-        EmitJoinRow(*probe_rows_[static_cast<size_t>(i)],
-                    right_->rows[static_cast<size_t>(id)], *post_filters_,
-                    *output_exprs_, &pending_);
-      },
-      &stats);
-  refinery.FlushTo(counters_);
-  stats.FlushTo(counters_);
-}
-
-Status SpatialJoinNode::GetNext(RowBatch* batch, bool* eos) {
+Status ProbeJoinNode::GetNext(RowBatch* batch, bool* eos) {
   batch->Clear();
   while (!batch->IsFull()) {
     if (pending_idx_ < pending_.size()) {
@@ -528,6 +461,71 @@ Status SpatialJoinNode::GetNext(RowBatch* batch, bool* eos) {
   return Status::OK();
 }
 
+// The paper's second parsing site, through the core's one WKT entry point.
+void ProbeJoinNode::ParseLeftBatch(const RowBatch& left_rows) {
+  probe_rows_.clear();
+  probe_wkt_.clear();
+  probe_geoms_.clear();
+  for (int r = 0; r < left_rows.NumRows(); ++r) {
+    const Row& left_row = left_rows.row(r);
+    const auto* left_wkt = std::get_if<std::string>(
+        &left_row[static_cast<size_t>(spec_->left_geom_slot)]);
+    if (left_wkt == nullptr) {
+      counters_->Add(core::counter::kLeftMalformed, 1);
+      continue;
+    }
+    auto parsed = core::ParseGeosWkt(*left_wkt);
+    if (!parsed.ok()) {
+      counters_->Add(core::counter::kLeftBadGeom, 1);
+      continue;
+    }
+    probe_rows_.push_back(&left_row);
+    probe_wkt_.push_back(left_wkt);
+    probe_geoms_.push_back(std::move(parsed).value());
+  }
+}
+
+// --------------------------------------------------------- SpatialJoin ----
+
+SpatialJoinNode::SpatialJoinNode(
+    std::unique_ptr<ExecNode> left_child, const BroadcastRight* right,
+    const SpatialJoinSpec* spec,
+    const std::vector<std::unique_ptr<Expr>>* post_filters,
+    const std::vector<const Expr*>* output_exprs, bool cache_parsed,
+    Counters* counters, const index::ProbeOptions& probe)
+    : ProbeJoinNode(std::move(left_child), right, spec, post_filters,
+                    output_exprs, cache_parsed, counters, probe) {}
+
+void SpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
+  ParseLeftBatch(left_rows);
+  if (probe_rows_.empty()) return;
+
+  // Filter + refine: the whole row batch goes through the shared driver
+  // (sFilter, packed tree, Hilbert ordering per probe_), and candidates
+  // come back probe-ascending so output row order matches per-row
+  // execution.
+  SpatialRefinery refinery(right_, spec_, cache_parsed_);
+  core::ProbeStats stats;
+  core::RunProbes(
+      static_cast<int64_t>(probe_geoms_.size()), *right_, probe_,
+      [&](int64_t i) {
+        return probe_geoms_[static_cast<size_t>(i)]->getEnvelopeInternal();
+      },
+      [&](int64_t i, int64_t id) {
+        const size_t p = static_cast<size_t>(i);
+        return refinery.Refine(i, *probe_wkt_[p], *probe_geoms_[p],
+                               static_cast<size_t>(id), &stats.refine);
+      },
+      [&](int64_t i, int64_t id) {
+        EmitJoinRow(*probe_rows_[static_cast<size_t>(i)],
+                    right_->rows[static_cast<size_t>(id)], *post_filters_,
+                    *output_exprs_, &pending_);
+      },
+      &stats);
+  refinery.FlushTo(counters_);
+  stats.FlushTo(counters_);
+}
+
 // ----------------------------------------- PartitionedSpatialJoin --------
 
 PartitionedSpatialJoinNode::PartitionedSpatialJoinNode(
@@ -537,15 +535,9 @@ PartitionedSpatialJoinNode::PartitionedSpatialJoinNode(
     const std::vector<const Expr*>* output_exprs, bool cache_parsed,
     Counters* counters, const index::ProbeOptions& probe,
     std::vector<double>* tile_seconds)
-    : left_child_(std::move(left_child)),
-      right_(right),
+    : ProbeJoinNode(std::move(left_child), right, spec, post_filters,
+                    output_exprs, cache_parsed, counters, probe),
       tiles_(tiles),
-      spec_(spec),
-      post_filters_(post_filters),
-      output_exprs_(output_exprs),
-      cache_parsed_(cache_parsed),
-      counters_(counters),
-      probe_(probe),
       tile_seconds_(tile_seconds) {
   CLOUDJOIN_CHECK(tiles_ != nullptr);
   CLOUDJOIN_CHECK(tile_seconds_ != nullptr &&
@@ -553,13 +545,8 @@ PartitionedSpatialJoinNode::PartitionedSpatialJoinNode(
                       tiles_->num_tiles());
 }
 
-Status PartitionedSpatialJoinNode::Open() { return left_child_->Open(); }
-
-void PartitionedSpatialJoinNode::Close() { left_child_->Close(); }
-
 void PartitionedSpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
-  ParseProbeBatch(left_rows, spec_->left_geom_slot, counters_, &probe_rows_,
-                  &probe_wkt_, &probe_geoms_);
+  ParseLeftBatch(left_rows);
   if (probe_rows_.empty()) return;
 
   // Route each probe the sFilter keeps to the tiles its envelope touches
@@ -595,7 +582,6 @@ void PartitionedSpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
     if (probes.empty() || tiles_->tree(t).num_entries() == 0) continue;
     CpuTimer tile_watch;
     const std::vector<core::TiledRight::Slot>& slots = tiles_->slots(t);
-    int64_t current_probe = -1;
     core::RunProbes(
         static_cast<int64_t>(probes.size()), tiles_->tree(t),
         tiles_->packed(t), /*sfilter=*/nullptr, probe_,
@@ -610,11 +596,8 @@ void PartitionedSpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
           if (partitioner.OwnerTileOf(envelope_of(p), slot.envelope) != t) {
             return false;
           }
-          if (p != current_probe) {
-            current_probe = p;
-            refinery.BeginProbe(*probe_wkt_[static_cast<size_t>(p)]);
-          }
-          return refinery.Refine(*probe_geoms_[static_cast<size_t>(p)],
+          return refinery.Refine(p, *probe_wkt_[static_cast<size_t>(p)],
+                                 *probe_geoms_[static_cast<size_t>(p)],
                                  static_cast<size_t>(slot.row),
                                  &stats.refine);
         },
@@ -630,23 +613,6 @@ void PartitionedSpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
   }
   refinery.FlushTo(counters_);
   stats.FlushTo(counters_);
-}
-
-Status PartitionedSpatialJoinNode::GetNext(RowBatch* batch, bool* eos) {
-  batch->Clear();
-  while (!batch->IsFull()) {
-    if (pending_idx_ < pending_.size()) {
-      batch->Add(std::move(pending_[pending_idx_++]));
-      continue;
-    }
-    pending_.clear();
-    pending_idx_ = 0;
-    if (left_eos_) break;
-    CLOUDJOIN_RETURN_IF_ERROR(left_child_->GetNext(&left_batch_, &left_eos_));
-    ProcessLeftBatch(left_batch_);
-  }
-  *eos = pending_idx_ >= pending_.size() && left_eos_;
-  return Status::OK();
 }
 
 // ----------------------------------------------------------- CrossJoin ----

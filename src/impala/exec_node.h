@@ -119,28 +119,32 @@ Result<std::unique_ptr<BroadcastRight>> BuildBroadcastRight(
     const std::vector<bool>* needed_slots, int geom_slot, double radius,
     bool cache_parsed, bool prepare_geometries, Counters* counters);
 
-/// The paper's SpatialJoin exec node: streams left batches, probes the
-/// broadcast R-tree (spatial filtering), refines candidate pairs with the
-/// registered ST_* UDF, applies post-join conjuncts, and emits the
-/// evaluated output expressions.
-class SpatialJoinNode final : public ExecNode {
+/// What the two spatial join nodes share: the left child, the broadcast
+/// right side and join spec, the per-batch probe scratch, and the GetNext
+/// loop that pulls left row batches through ProcessLeftBatch and drains
+/// the join rows it produced.
+class ProbeJoinNode : public ExecNode {
  public:
-  SpatialJoinNode(std::unique_ptr<ExecNode> left_child,
-                  const BroadcastRight* right, const SpatialJoinSpec* spec,
-                  const std::vector<std::unique_ptr<Expr>>* post_filters,
-                  const std::vector<const Expr*>* output_exprs,
-                  bool cache_parsed, Counters* counters,
-                  const index::ProbeOptions& probe = index::ProbeOptions());
-
   Status Open() override;
   Status GetNext(RowBatch* batch, bool* eos) override;
   void Close() override;
 
- private:
-  /// Probes one whole left row batch through the columnar filter (parse
-  /// all geometries, batch the envelopes, refine off the dense candidate
-  /// buffer in row order), appending join output rows to pending_.
-  void ProcessLeftBatch(const RowBatch& left_rows);
+ protected:
+  ProbeJoinNode(std::unique_ptr<ExecNode> left_child,
+                const BroadcastRight* right, const SpatialJoinSpec* spec,
+                const std::vector<std::unique_ptr<Expr>>* post_filters,
+                const std::vector<const Expr*>* output_exprs,
+                bool cache_parsed, Counters* counters,
+                const index::ProbeOptions& probe);
+
+  /// Probes one whole left row batch through the shared probe driver,
+  /// appending join output rows to pending_.
+  virtual void ProcessLeftBatch(const RowBatch& left_rows) = 0;
+
+  /// Parses the batch's probe geometries into probe_rows_/probe_wkt_/
+  /// probe_geoms_, dropping null/bad geometry rows under the unified
+  /// left-side counters.
+  void ParseLeftBatch(const RowBatch& left_rows);
 
   std::unique_ptr<ExecNode> left_child_;
   const BroadcastRight* right_;
@@ -162,6 +166,23 @@ class SpatialJoinNode final : public ExecNode {
   std::vector<std::unique_ptr<geosim::Geometry>> probe_geoms_;
 };
 
+/// The paper's SpatialJoin exec node: streams left batches, probes the
+/// broadcast R-tree (spatial filtering), refines candidate pairs with the
+/// registered ST_* UDF, applies post-join conjuncts, and emits the
+/// evaluated output expressions.
+class SpatialJoinNode final : public ProbeJoinNode {
+ public:
+  SpatialJoinNode(std::unique_ptr<ExecNode> left_child,
+                  const BroadcastRight* right, const SpatialJoinSpec* spec,
+                  const std::vector<std::unique_ptr<Expr>>* post_filters,
+                  const std::vector<const Expr*>* output_exprs,
+                  bool cache_parsed, Counters* counters,
+                  const index::ProbeOptions& probe);
+
+ private:
+  void ProcessLeftBatch(const RowBatch& left_rows) override;
+};
+
 /// The partitioned-strategy spatial join: the right side is sharded into
 /// spatial tiles (exec::TiledRight) and each left batch is probed
 /// tile-major — every probe visits only the tiles its envelope touches,
@@ -175,7 +196,7 @@ class SpatialJoinNode final : public ExecNode {
 /// as separate join tasks and deducts them from the enclosing scan
 /// range's timing, which is what lets a simulated cluster schedule hot
 /// tiles independently of the scan ranges that produced them.
-class PartitionedSpatialJoinNode final : public ExecNode {
+class PartitionedSpatialJoinNode final : public ProbeJoinNode {
  public:
   PartitionedSpatialJoinNode(
       std::unique_ptr<ExecNode> left_child, const BroadcastRight* right,
@@ -185,31 +206,11 @@ class PartitionedSpatialJoinNode final : public ExecNode {
       Counters* counters, const index::ProbeOptions& probe,
       std::vector<double>* tile_seconds);
 
-  Status Open() override;
-  Status GetNext(RowBatch* batch, bool* eos) override;
-  void Close() override;
-
  private:
-  void ProcessLeftBatch(const RowBatch& left_rows);
+  void ProcessLeftBatch(const RowBatch& left_rows) override;
 
-  std::unique_ptr<ExecNode> left_child_;
-  const BroadcastRight* right_;
   const cloudjoin::exec::TiledRight* tiles_;
-  const SpatialJoinSpec* spec_;
-  const std::vector<std::unique_ptr<Expr>>* post_filters_;
-  const std::vector<const Expr*>* output_exprs_;
-  bool cache_parsed_;
-  Counters* counters_;
-  index::ProbeOptions probe_;
   std::vector<double>* tile_seconds_;
-  RowBatch left_batch_;
-  bool left_eos_ = false;
-  std::vector<Row> pending_;
-  size_t pending_idx_ = 0;
-  // Per-batch probe scratch (see SpatialJoinNode).
-  std::vector<const Row*> probe_rows_;
-  std::vector<const std::string*> probe_wkt_;
-  std::vector<std::unique_ptr<geosim::Geometry>> probe_geoms_;
   // Tile routing scratch: probe indices per tile, reused across batches.
   std::vector<std::vector<int64_t>> tile_probes_;
 };
