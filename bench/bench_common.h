@@ -190,7 +190,7 @@ class PaperBench {
 
 /// Parses one materialized table into (id, geometry) records outside any
 /// engine — the input shape for kernel-level ablations that benchmark the
-/// join core (BroadcastIndex, ProbeBatch, ParallelBroadcastSpatialJoin)
+/// join core (BroadcastIndex::Probe, ParallelBroadcastSpatialJoin)
 /// without scan/parse overheads in the measured section.
 inline std::vector<join::IdGeometry> LoadIdGeometries(
     dfs::SimFileSystem* fs, const join::TableInput& input) {

@@ -78,13 +78,6 @@ struct ColumnarScanStats {
   /// survived (the lazy-materialization hit count).
   int64_t rows_materialized = 0;
 
-  void MergeFrom(const ColumnarScanStats& other) {
-    blocks_total += other.blocks_total;
-    blocks_pruned += other.blocks_pruned;
-    rows_scanned += other.rows_scanned;
-    rows_materialized += other.rows_materialized;
-  }
-
   /// Adds the non-zero fields to `counters` under the scan.* names
   /// (no-op on nullptr).
   void FlushTo(Counters* counters) const;

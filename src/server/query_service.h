@@ -89,9 +89,8 @@ struct KernelJoinRequest {
   int64_t right_version = 0;
   join::SpatialPredicate predicate;
   join::PrepareOptions prepare;
-  /// Columnar filter tuning for the probe. Part of the cache key, so an
-  /// index warmed under one probe configuration is never credited to a
-  /// run sweeping a different one.
+  /// Columnar filter tuning for the probe. Not part of the cache key: no
+  /// probe option changes the built index. Must Validate().
   join::ProbeOptions probe;
 };
 

@@ -36,6 +36,18 @@ std::vector<std::pair<int64_t, int64_t>> RowsToPairs(
   return pairs;
 }
 
+geom::Geometry ParseWkt(const std::string& wkt) {
+  auto geometry = geom::ReadWkt(wkt);
+  CLOUDJOIN_CHECK(geometry.ok()) << geometry.status();
+  return std::move(geometry).value();
+}
+
+/// Right side of the kernel-join tests: two squares, ids 10 and 20.
+std::vector<join::IdGeometry> KernelRight() {
+  return {{10, ParseWkt("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))")},
+          {20, ParseWkt("POLYGON ((40 40, 60 40, 60 60, 40 60, 40 40))")}};
+}
+
 class QueryServiceTest : public ::testing::Test {
  protected:
   QueryServiceTest() : fs_(4, /*block_size=*/16 * 1024) {
@@ -251,25 +263,14 @@ TEST_F(QueryServiceTest, SessionDefaultsApply) {
 
 TEST_F(QueryServiceTest, BypassKernelJoinCachesIndex) {
   auto service = std::make_unique<QueryService>(&fs_, ServiceOptions());
-
-  auto parse = [](const std::string& wkt) {
-    auto geometry = geom::ReadWkt(wkt);
-    CLOUDJOIN_CHECK(geometry.ok()) << geometry.status();
-    return std::move(geometry).value();
-  };
-  std::vector<join::IdGeometry> left;
-  left.push_back({1, parse("POINT (2 2)")});
-  left.push_back({2, parse("POINT (50 50)")});
-  left.push_back({3, parse("POINT (8 8)")});
-
+  const std::vector<join::IdGeometry> left = {
+      {1, ParseWkt("POINT (2 2)")},
+      {2, ParseWkt("POINT (50 50)")},
+      {3, ParseWkt("POINT (8 8)")}};
   std::atomic<int> loads{0};
-  auto loader = [&parse, &loads] {
+  auto loader = [&loads] {
     loads.fetch_add(1);
-    std::vector<join::IdGeometry> right;
-    right.push_back({10, parse("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))")});
-    right.push_back(
-        {20, parse("POLYGON ((40 40, 60 40, 60 60, 40 60, 40 40))")});
-    return right;
+    return KernelRight();
   };
 
   KernelJoinRequest request;
@@ -342,30 +343,19 @@ TEST_F(QueryServiceTest, BadProbeBatchInQueryOptionsIsInvalidArgument) {
 
 TEST_F(QueryServiceTest, BadProbeBatchInKernelRequestIsInvalidArgument) {
   auto service = std::make_unique<QueryService>(&fs_, ServiceOptions());
-  auto parse = [](const std::string& wkt) {
-    auto geometry = geom::ReadWkt(wkt);
-    CLOUDJOIN_CHECK(geometry.ok()) << geometry.status();
-    return std::move(geometry).value();
-  };
-  std::vector<join::IdGeometry> left;
-  left.push_back({1, parse("POINT (2 2)")});
-  auto loader = [&parse] {
-    std::vector<join::IdGeometry> right;
-    right.push_back({10, parse("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))")});
-    return right;
-  };
+  const std::vector<join::IdGeometry> left = {{1, ParseWkt("POINT (2 2)")}};
   KernelJoinRequest request;
-  request.right_name = "square";
+  request.right_name = "grid";
   request.predicate = join::SpatialPredicate::Within();
   request.probe.batch_size = 0;
   Result<KernelJoinResponse> rejected =
-      service->ExecuteBroadcastJoin(left, request, loader);
+      service->ExecuteBroadcastJoin(left, request, KernelRight);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 
   request.probe = join::ProbeOptions();
   Result<KernelJoinResponse> good =
-      service->ExecuteBroadcastJoin(left, request, loader);
+      service->ExecuteBroadcastJoin(left, request, KernelRight);
   ASSERT_TRUE(good.ok()) << good.status();
   EXPECT_EQ(good->pairs, (std::vector<join::IdPair>{{1, 10}}));
 }
