@@ -641,9 +641,8 @@ TEST_F(RegistryTest, RegisterRejectsUnsuitableQueries) {
 }
 
 TEST_F(RegistryTest, RegisterRejectsBadProbeOptions) {
-  // A zero batch size is refused at registration as kInvalidArgument
-  // (it used to abort the process at the next window probe), and the
-  // registry keeps serving well-formed queries.
+  // A zero batch size is refused at registration, before any window is
+  // probed, and the registry keeps serving well-formed queries.
   ContinuousQueryRegistry registry(service_.get(), &fs_);
   std::vector<WindowResult> results;
   auto collect = [&](const WindowResult& result) {

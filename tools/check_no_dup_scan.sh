@@ -57,6 +57,15 @@
 #      exec object directly from AST or options bypasses the plan — its
 #      queries would execute something EXPLAIN and the serialized plan do
 #      not describe, breaking capture/replay.
+#
+# Every engine's filter -> refine loop runs through one probe driver,
+# exec::RunProbes in src/exec/probe_driver.h, which owns the sFilter
+# survivor pass, the batched descent and the candidate/match counting:
+#
+#   9. index::RunBatchedProbes and SFilter::MightIntersect may appear in
+#      src/ only under src/index/ and in the driver's header. An engine
+#      calling either directly is a second probe loop whose counters drift
+#      from the others.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -109,7 +118,11 @@ check "direct exec-node construction (bypasses the plan contract)" \
   "make_unique<\(HdfsScanNode\|SpatialJoinNode\|PartitionedSpatialJoinNode\|CrossJoinNode\|ProjectNode\)>" \
   "^src/impala/exec_node\.cc"
 
+check "probe loop outside the driver" \
+  "RunBatchedProbes\|MightIntersect" \
+  "^src/(index/|exec/probe_driver\.h)"
+
 if [ "$fail" -eq 0 ]; then
-  echo "check_no_dup_scan: OK (one scan loop, one parse entry point)"
+  echo "check_no_dup_scan: OK (one scan loop, one parse entry point, one probe driver)"
 fi
 exit "$fail"
