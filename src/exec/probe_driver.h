@@ -5,12 +5,16 @@
 #include <optional>
 #include <vector>
 
+#include "common/stopwatch.h"
 #include "exec/built_right.h"
 #include "exec/probe_stats.h"
+#include "exec/tiled_right.h"
+#include "geom/envelope.h"
 #include "index/batch_prober.h"
 #include "index/packed_str_tree.h"
 #include "index/probe_options.h"
 #include "index/sfilter.h"
+#include "index/spatial_partitioner.h"
 #include "index/str_tree.h"
 
 namespace cloudjoin::exec {
@@ -92,6 +96,88 @@ void RunProbes(int64_t n, const BuiltRight& right,
                Refine&& refine, Emit&& emit, ProbeStats* stats) {
   RunProbes(n, *right.tree, *right.packed, right.sfilter.get(), options,
             envelope_at, refine, emit, stats);
+}
+
+/// One tile of a partitioned probe: RunProbes over the tile's own tree,
+/// except that a candidate whose reference point — the lower-left corner
+/// of the probe envelope intersected with the right slot's expanded
+/// envelope, `slot_envelope(slot)` — lies in another tile of `partitioner`
+/// is withdrawn uncounted (`std::nullopt`) before refinement. A replicated
+/// pair meets this test in every tile holding both records and exactly one
+/// of them owns the point, so each pair is refined, counted and emitted
+/// once: candidates and matches equal an untiled probe's.
+template <typename EnvelopeAt, typename SlotEnvelope, typename Refine,
+          typename Emit>
+void RunTileProbes(const index::SpatialPartitioner& partitioner, int tile,
+                   int64_t n, const index::StrTree& tree,
+                   const index::PackedStrTree& packed,
+                   const index::SFilter* sfilter,
+                   const index::ProbeOptions& options,
+                   EnvelopeAt&& envelope_at, SlotEnvelope&& slot_envelope,
+                   Refine&& refine, Emit&& emit, ProbeStats* stats) {
+  RunProbes(
+      n, tree, packed, sfilter, options, envelope_at,
+      [&](int64_t i, int64_t slot) -> std::optional<bool> {
+        if (partitioner.OwnerTileOf(envelope_at(i), slot_envelope(slot)) !=
+            tile) {
+          return std::nullopt;
+        }
+        return refine(i, slot);
+      },
+      emit, stats);
+}
+
+/// The partitioned probe: probes [0, n) pass the sFilter survivor pass
+/// once (`sfilter` is the whole right side's, under `options.sfilter`),
+/// each survivor is routed to every tile its envelope touches, and each
+/// tile runs RunTileProbes over its own tree — tile-major, probes
+/// ascending within a tile. `refine(i, row)` and `emit(i, row)` receive
+/// the right *row* (the position in the BuiltRight the tiling was built
+/// from), as RunProbes over that BuiltRight does, so one pair of
+/// callables serves both. Counts land in `stats` and equal the untiled
+/// probe's. When `tile_seconds` is non-null (one slot per tile), each
+/// tile's CPU seconds are added to its slot.
+template <typename EnvelopeAt, typename Refine, typename Emit>
+void RunTiledProbes(int64_t n, const TiledRight& tiled,
+                    const index::SFilter* sfilter,
+                    const index::ProbeOptions& options,
+                    EnvelopeAt&& envelope_at, Refine&& refine, Emit&& emit,
+                    ProbeStats* stats,
+                    std::vector<double>* tile_seconds = nullptr) {
+  const index::SpatialPartitioner& partitioner = tiled.partitioner();
+  std::vector<std::vector<int64_t>> tile_probes(
+      static_cast<size_t>(tiled.num_tiles()));
+  stats->sfilter_skipped += ForEachSFilterSurvivor(
+      n, options.sfilter ? sfilter : nullptr, envelope_at, [&](int64_t i) {
+        for (int t : partitioner.TilesFor(envelope_at(i))) {
+          tile_probes[static_cast<size_t>(t)].push_back(i);
+        }
+      });
+  for (int t = 0; t < tiled.num_tiles(); ++t) {
+    const std::vector<int64_t>& probes = tile_probes[static_cast<size_t>(t)];
+    if (probes.empty() || tiled.tree(t).num_entries() == 0) continue;
+    CpuTimer tile_watch;
+    const std::vector<TiledRight::Slot>& slots = tiled.slots(t);
+    auto probe_of = [&](int64_t i) { return probes[static_cast<size_t>(i)]; };
+    auto row_of = [&](int64_t slot) {
+      return slots[static_cast<size_t>(slot)].row;
+    };
+    RunTileProbes(
+        partitioner, t, static_cast<int64_t>(probes.size()), tiled.tree(t),
+        tiled.packed(t), /*sfilter=*/nullptr, options,
+        [&](int64_t i) -> decltype(auto) { return envelope_at(probe_of(i)); },
+        [&](int64_t slot) -> const geom::Envelope& {
+          return slots[static_cast<size_t>(slot)].envelope;
+        },
+        [&](int64_t i, int64_t slot) {
+          return refine(probe_of(i), row_of(slot));
+        },
+        [&](int64_t i, int64_t slot) { emit(probe_of(i), row_of(slot)); },
+        stats);
+    if (tile_seconds != nullptr) {
+      (*tile_seconds)[static_cast<size_t>(t)] += tile_watch.ElapsedSeconds();
+    }
+  }
 }
 
 }  // namespace cloudjoin::exec

@@ -1,6 +1,8 @@
 #include "exec/tiled_right.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "exec/counter_names.h"
@@ -10,7 +12,9 @@ namespace cloudjoin::exec {
 std::unique_ptr<TiledRight> BuildTiledRight(const BuiltRight& right,
                                             const TiledRightOptions& options,
                                             Counters* counters) {
-  if (right.tree == nullptr || right.tree->num_entries() == 0) {
+  // Empty bounds: no entries, or only empty envelopes (EMPTY geometries),
+  // which touch no tile and match nothing.
+  if (right.tree == nullptr || right.tree->bounds().IsEmpty()) {
     return nullptr;
   }
   const std::vector<index::StrTree::Entry>& entries = right.tree->entries();
@@ -36,8 +40,10 @@ std::unique_ptr<TiledRight> BuildTiledRight(const BuiltRight& right,
     static const std::vector<geom::Point> kNoSample;
     const std::vector<geom::Point>& probe =
         options.probe_sample != nullptr ? *options.probe_sample : kNoSample;
-    const int max_tiles =
-        std::max(1, options.num_tiles) * std::max(1, options.max_tiles_factor);
+    const int max_tiles = static_cast<int>(std::min<int64_t>(
+        std::numeric_limits<int>::max(),
+        int64_t{std::max(1, options.num_tiles)} *
+            std::max(1, options.max_tiles_factor)));
     std::vector<geom::Envelope> build_envelopes;
     build_envelopes.reserve(entries.size());
     for (const index::StrTree::Entry& e : entries) {

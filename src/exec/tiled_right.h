@@ -33,9 +33,9 @@ struct TiledRightOptions {
 /// record store re-sharded into spatial tiles, each tile carrying its own
 /// StrTree (+ packed mirror) over the records whose expanded envelopes
 /// intersect it. Records spanning several tiles are replicated into each;
-/// the join suppresses replicated output pairs with
-/// SpatialPartitioner::OwnerTileOf reference-point dedup, so results match
-/// the broadcast path pair-for-pair.
+/// RunTiledProbes (exec/probe_driver.h) withdraws replicated candidates
+/// with the partitioner's reference-point test before refinement, so
+/// results and counts match the broadcast path pair-for-pair.
 ///
 /// Per-tile trees index *slots* (positions in `slot_entries`), each
 /// remembering the underlying record row and its expanded envelope — the
@@ -84,8 +84,9 @@ class TiledRight {
 /// from BSP over the entry centers, then — when `options.adaptive` — hot
 /// tiles are recursively quad-split, steered by `options.probe_sample`.
 /// Emits counter::kHotTilesSplit when any split fires. Returns nullptr
-/// for an empty right side (the caller falls back to the broadcast node,
-/// which already handles empty builds).
+/// when the tree bounds are empty — no entries, or only EMPTY geometries —
+/// since nothing can match (the Impala runtime then runs the broadcast
+/// probe, which already handles empty builds).
 std::unique_ptr<TiledRight> BuildTiledRight(const BuiltRight& right,
                                             const TiledRightOptions& options,
                                             Counters* counters);

@@ -680,11 +680,18 @@ TEST(TiledRightTest, AdaptiveSplitsHotTilesAndCountsThem) {
 }
 
 TEST(TiledRightTest, EmptyRightSideYieldsNoTiling) {
-  dfs::SimFileSystem fs(4, /*block_size=*/16 * 1024);
-  Counters counters;
-  auto right = BuildFrom(&fs, "", PrepareOptions(), &counters);
-  ASSERT_TRUE(right.ok()) << right.status();
-  EXPECT_EQ(BuildTiledRight(*right, TiledRightOptions(), &counters), nullptr);
+  // No records at all, and records whose envelopes are all empty (the
+  // tree bounds are empty either way: nothing can match).
+  for (const char* right_text :
+       {"", "0\tPOLYGON EMPTY\n1\tPOLYGON EMPTY\n"}) {
+    dfs::SimFileSystem fs(4, /*block_size=*/16 * 1024);
+    Counters counters;
+    auto right = BuildFrom(&fs, right_text, PrepareOptions(), &counters);
+    ASSERT_TRUE(right.ok()) << right.status();
+    EXPECT_EQ(BuildTiledRight(*right, TiledRightOptions(), &counters),
+              nullptr)
+        << right_text;
+  }
 }
 
 }  // namespace
