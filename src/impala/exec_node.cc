@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "exec/counter_names.h"
@@ -31,7 +30,7 @@ int64_t RowBytes(const Row& row) {
 }
 
 /// The spatial-join refinement personality, shared by the broadcast and
-/// partitioned join nodes: the prepared fast path is the core's
+/// partitioned probes: the prepared fast path is the core's
 /// GeosRefiner; the UDF re-parse (faithful ISP-MC) and cached-parse
 /// ablation fallbacks are this engine's own.
 class SpatialRefinery {
@@ -423,28 +422,31 @@ int64_t BroadcastRight::MemoryBytes() const {
   return total;
 }
 
-// ----------------------------------------------------------- ProbeJoin ----
+// --------------------------------------------------------- SpatialJoin ----
 
-ProbeJoinNode::ProbeJoinNode(
+SpatialJoinNode::SpatialJoinNode(
     std::unique_ptr<ExecNode> left_child, const BroadcastRight* right,
-    const SpatialJoinSpec* spec,
+    const core::TiledRight* tiles, const SpatialJoinSpec* spec,
     const std::vector<std::unique_ptr<Expr>>* post_filters,
     const std::vector<const Expr*>* output_exprs, bool cache_parsed,
-    Counters* counters, const index::ProbeOptions& probe)
+    Counters* counters, const index::ProbeOptions& probe,
+    std::vector<double>* tile_seconds)
     : left_child_(std::move(left_child)),
       right_(right),
+      tiles_(tiles),
       spec_(spec),
       post_filters_(post_filters),
       output_exprs_(output_exprs),
       cache_parsed_(cache_parsed),
       counters_(counters),
-      probe_(probe) {}
+      probe_(probe),
+      tile_seconds_(tile_seconds) {}
 
-Status ProbeJoinNode::Open() { return left_child_->Open(); }
+Status SpatialJoinNode::Open() { return left_child_->Open(); }
 
-void ProbeJoinNode::Close() { left_child_->Close(); }
+void SpatialJoinNode::Close() { left_child_->Close(); }
 
-Status ProbeJoinNode::GetNext(RowBatch* batch, bool* eos) {
+Status SpatialJoinNode::GetNext(RowBatch* batch, bool* eos) {
   batch->Clear();
   while (!batch->IsFull()) {
     if (pending_idx_ < pending_.size()) {
@@ -461,8 +463,10 @@ Status ProbeJoinNode::GetNext(RowBatch* batch, bool* eos) {
   return Status::OK();
 }
 
-// The paper's second parsing site, through the core's one WKT entry point.
-void ProbeJoinNode::ParseLeftBatch(const RowBatch& left_rows) {
+void SpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
+  // The paper's second parsing site, through the core's one WKT entry
+  // point; null and bad geometry rows drop under the unified left-side
+  // counters.
   probe_rows_.clear();
   probe_wkt_.clear();
   probe_geoms_.clear();
@@ -483,133 +487,33 @@ void ProbeJoinNode::ParseLeftBatch(const RowBatch& left_rows) {
     probe_wkt_.push_back(left_wkt);
     probe_geoms_.push_back(std::move(parsed).value());
   }
-}
-
-// --------------------------------------------------------- SpatialJoin ----
-
-SpatialJoinNode::SpatialJoinNode(
-    std::unique_ptr<ExecNode> left_child, const BroadcastRight* right,
-    const SpatialJoinSpec* spec,
-    const std::vector<std::unique_ptr<Expr>>* post_filters,
-    const std::vector<const Expr*>* output_exprs, bool cache_parsed,
-    Counters* counters, const index::ProbeOptions& probe)
-    : ProbeJoinNode(std::move(left_child), right, spec, post_filters,
-                    output_exprs, cache_parsed, counters, probe) {}
-
-void SpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
-  ParseLeftBatch(left_rows);
   if (probe_rows_.empty()) return;
 
   // Filter + refine: the whole row batch goes through the shared driver
   // (sFilter, packed tree, Hilbert ordering per probe_), and candidates
-  // come back probe-ascending so output row order matches per-row
-  // execution.
+  // come back probe-ascending — per tile under the partitioned strategy —
+  // so output row order matches per-row execution.
   SpatialRefinery refinery(right_, spec_, cache_parsed_);
   core::ProbeStats stats;
-  core::RunProbes(
-      static_cast<int64_t>(probe_geoms_.size()), *right_, probe_,
-      [&](int64_t i) {
-        return probe_geoms_[static_cast<size_t>(i)]->getEnvelopeInternal();
-      },
-      [&](int64_t i, int64_t id) {
-        const size_t p = static_cast<size_t>(i);
-        return refinery.Refine(i, *probe_wkt_[p], *probe_geoms_[p],
-                               static_cast<size_t>(id), &stats.refine);
-      },
-      [&](int64_t i, int64_t id) {
-        EmitJoinRow(*probe_rows_[static_cast<size_t>(i)],
-                    right_->rows[static_cast<size_t>(id)], *post_filters_,
-                    *output_exprs_, &pending_);
-      },
-      &stats);
-  refinery.FlushTo(counters_);
-  stats.FlushTo(counters_);
-}
-
-// ----------------------------------------- PartitionedSpatialJoin --------
-
-PartitionedSpatialJoinNode::PartitionedSpatialJoinNode(
-    std::unique_ptr<ExecNode> left_child, const BroadcastRight* right,
-    const core::TiledRight* tiles, const SpatialJoinSpec* spec,
-    const std::vector<std::unique_ptr<Expr>>* post_filters,
-    const std::vector<const Expr*>* output_exprs, bool cache_parsed,
-    Counters* counters, const index::ProbeOptions& probe,
-    std::vector<double>* tile_seconds)
-    : ProbeJoinNode(std::move(left_child), right, spec, post_filters,
-                    output_exprs, cache_parsed, counters, probe),
-      tiles_(tiles),
-      tile_seconds_(tile_seconds) {
-  CLOUDJOIN_CHECK(tiles_ != nullptr);
-  CLOUDJOIN_CHECK(tile_seconds_ != nullptr &&
-                  static_cast<int>(tile_seconds_->size()) ==
-                      tiles_->num_tiles());
-}
-
-void PartitionedSpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
-  ParseLeftBatch(left_rows);
-  if (probe_rows_.empty()) return;
-
-  // Route each probe the sFilter keeps to the tiles its envelope touches
-  // (the partitioned join's shuffle). The sFilter runs once per probe,
-  // here, not once per tile. A probe outside every tile (outside the
-  // right tree's bounds) simply matches nothing, same as the broadcast
-  // descent.
-  const index::SpatialPartitioner& partitioner = tiles_->partitioner();
-  auto envelope_of = [&](int64_t p) -> const geom::Envelope& {
-    return probe_geoms_[static_cast<size_t>(p)]->getEnvelopeInternal();
+  const int64_t n = static_cast<int64_t>(probe_geoms_.size());
+  auto envelope_at = [&](int64_t i) -> const geom::Envelope& {
+    return probe_geoms_[static_cast<size_t>(i)]->getEnvelopeInternal();
   };
-  tile_probes_.resize(static_cast<size_t>(tiles_->num_tiles()));
-  for (std::vector<int64_t>& probes : tile_probes_) probes.clear();
-  core::ProbeStats stats;
-  stats.sfilter_skipped += core::ForEachSFilterSurvivor(
-      static_cast<int64_t>(probe_geoms_.size()),
-      probe_.sfilter ? right_->sfilter.get() : nullptr, envelope_of,
-      [&](int64_t p) {
-        for (int t : partitioner.TilesFor(envelope_of(p))) {
-          tile_probes_[static_cast<size_t>(t)].push_back(p);
-        }
-      });
-
-  // Tile-major probe loop: each tile's work is metered separately — the
-  // tile tasks a simulated cluster schedules independently of the scan
-  // ranges. Replicated candidates are suppressed by reference-point dedup
-  // before refinement, so replication costs an envelope test, never an
-  // exact geometry test.
-  SpatialRefinery refinery(right_, spec_, cache_parsed_);
-  for (int t = 0; t < tiles_->num_tiles(); ++t) {
-    const std::vector<int64_t>& probes =
-        tile_probes_[static_cast<size_t>(t)];
-    if (probes.empty() || tiles_->tree(t).num_entries() == 0) continue;
-    CpuTimer tile_watch;
-    const std::vector<core::TiledRight::Slot>& slots = tiles_->slots(t);
-    core::RunProbes(
-        static_cast<int64_t>(probes.size()), tiles_->tree(t),
-        tiles_->packed(t), /*sfilter=*/nullptr, probe_,
-        [&](int64_t i) { return envelope_of(probes[static_cast<size_t>(i)]); },
-        [&](int64_t i, int64_t slot_id) {
-          const int64_t p = probes[static_cast<size_t>(i)];
-          const core::TiledRight::Slot& slot =
-              slots[static_cast<size_t>(slot_id)];
-          // Reference-point dedup: a pair replicated into several tiles is
-          // refined only by the tile owning the lower-left corner of its
-          // envelope intersection.
-          if (partitioner.OwnerTileOf(envelope_of(p), slot.envelope) != t) {
-            return false;
-          }
-          return refinery.Refine(p, *probe_wkt_[static_cast<size_t>(p)],
-                                 *probe_geoms_[static_cast<size_t>(p)],
-                                 static_cast<size_t>(slot.row),
-                                 &stats.refine);
-        },
-        [&](int64_t i, int64_t slot_id) {
-          const size_t p = static_cast<size_t>(probes[static_cast<size_t>(i)]);
-          EmitJoinRow(*probe_rows_[p],
-                      right_->rows[static_cast<size_t>(
-                          slots[static_cast<size_t>(slot_id)].row)],
-                      *post_filters_, *output_exprs_, &pending_);
-        },
-        &stats);
-    (*tile_seconds_)[static_cast<size_t>(t)] += tile_watch.ElapsedSeconds();
+  auto refine = [&](int64_t i, int64_t row) {
+    const size_t p = static_cast<size_t>(i);
+    return refinery.Refine(i, *probe_wkt_[p], *probe_geoms_[p],
+                           static_cast<size_t>(row), &stats.refine);
+  };
+  auto emit = [&](int64_t i, int64_t row) {
+    EmitJoinRow(*probe_rows_[static_cast<size_t>(i)],
+                right_->rows[static_cast<size_t>(row)], *post_filters_,
+                *output_exprs_, &pending_);
+  };
+  if (tiles_ == nullptr) {
+    core::RunProbes(n, *right_, probe_, envelope_at, refine, emit, &stats);
+  } else {
+    core::RunTiledProbes(n, *tiles_, right_->sfilter.get(), probe_,
+                         envelope_at, refine, emit, &stats, tile_seconds_);
   }
   refinery.FlushTo(counters_);
   stats.FlushTo(counters_);
@@ -733,16 +637,11 @@ std::unique_ptr<ExecNode> MakeJoinExecNode(
     const BroadcastRight* right, const cloudjoin::exec::TiledRight* tiled,
     const std::vector<const Expr*>* output_exprs, Counters* counters,
     std::vector<double>* tile_seconds) {
-  if (join.kind == PlanNode::Kind::kSpatialJoin && tiled != nullptr) {
-    return std::make_unique<PartitionedSpatialJoinNode>(
+  if (join.kind == PlanNode::Kind::kSpatialJoin) {
+    return std::make_unique<SpatialJoinNode>(
         std::move(left_child), right, tiled, &join.spatial,
         &join.post_filters, output_exprs, join.cache_parsed_geometries,
         counters, join.probe, tile_seconds);
-  }
-  if (join.kind == PlanNode::Kind::kSpatialJoin) {
-    return std::make_unique<SpatialJoinNode>(
-        std::move(left_child), right, &join.spatial, &join.post_filters,
-        output_exprs, join.cache_parsed_geometries, counters, join.probe);
   }
   return std::make_unique<CrossJoinNode>(std::move(left_child), right,
                                          &join.post_filters, output_exprs,

@@ -119,41 +119,54 @@ Result<std::unique_ptr<BroadcastRight>> BuildBroadcastRight(
     const std::vector<bool>* needed_slots, int geom_slot, double radius,
     bool cache_parsed, bool prepare_geometries, Counters* counters);
 
-/// What the two spatial join nodes share: the left child, the broadcast
-/// right side and join spec, the per-batch probe scratch, and the GetNext
-/// loop that pulls left row batches through ProcessLeftBatch and drains
-/// the join rows it produced.
-class ProbeJoinNode : public ExecNode {
+/// The paper's SpatialJoin exec node: streams left batches, probes the
+/// broadcast R-tree (spatial filtering), refines candidate pairs with the
+/// registered ST_* UDF, applies post-join conjuncts, and emits the
+/// evaluated output expressions.
+///
+/// Under the partitioned strategy (`tiles` non-null) the right side is
+/// sharded into spatial tiles (exec::TiledRight) and each left batch is
+/// probed tile-major through exec::RunTiledProbes: every probe visits only
+/// the tiles its envelope touches, and a replicated candidate is refined
+/// only in the one tile that owns it, so the match *set* and the probe
+/// counts equal the broadcast probe's (row order differs: tile-major vs
+/// row-major — no ORDER BY = no ordering contract). Per-tile compute is
+/// metered into `tile_seconds` (one slot per tile, accumulated across all
+/// fragment instances); the runtime reports those as separate join tasks
+/// and deducts them from the enclosing scan range's timing, which is what
+/// lets a simulated cluster schedule hot tiles independently of the scan
+/// ranges that produced them.
+class SpatialJoinNode final : public ExecNode {
  public:
+  SpatialJoinNode(std::unique_ptr<ExecNode> left_child,
+                  const BroadcastRight* right,
+                  const cloudjoin::exec::TiledRight* tiles,
+                  const SpatialJoinSpec* spec,
+                  const std::vector<std::unique_ptr<Expr>>* post_filters,
+                  const std::vector<const Expr*>* output_exprs,
+                  bool cache_parsed, Counters* counters,
+                  const index::ProbeOptions& probe,
+                  std::vector<double>* tile_seconds);
+
   Status Open() override;
   Status GetNext(RowBatch* batch, bool* eos) override;
   void Close() override;
 
- protected:
-  ProbeJoinNode(std::unique_ptr<ExecNode> left_child,
-                const BroadcastRight* right, const SpatialJoinSpec* spec,
-                const std::vector<std::unique_ptr<Expr>>* post_filters,
-                const std::vector<const Expr*>* output_exprs,
-                bool cache_parsed, Counters* counters,
-                const index::ProbeOptions& probe);
-
+ private:
   /// Probes one whole left row batch through the shared probe driver,
   /// appending join output rows to pending_.
-  virtual void ProcessLeftBatch(const RowBatch& left_rows) = 0;
-
-  /// Parses the batch's probe geometries into probe_rows_/probe_wkt_/
-  /// probe_geoms_, dropping null/bad geometry rows under the unified
-  /// left-side counters.
-  void ParseLeftBatch(const RowBatch& left_rows);
+  void ProcessLeftBatch(const RowBatch& left_rows);
 
   std::unique_ptr<ExecNode> left_child_;
   const BroadcastRight* right_;
+  const cloudjoin::exec::TiledRight* tiles_;  // null: broadcast probe
   const SpatialJoinSpec* spec_;
   const std::vector<std::unique_ptr<Expr>>* post_filters_;
   const std::vector<const Expr*>* output_exprs_;
   bool cache_parsed_;
   Counters* counters_;
   index::ProbeOptions probe_;
+  std::vector<double>* tile_seconds_;
   RowBatch left_batch_;
   bool left_eos_ = false;
   // Carry-over rows when a probe batch overflows the output batch.
@@ -164,55 +177,6 @@ class ProbeJoinNode : public ExecNode {
   std::vector<const Row*> probe_rows_;
   std::vector<const std::string*> probe_wkt_;
   std::vector<std::unique_ptr<geosim::Geometry>> probe_geoms_;
-};
-
-/// The paper's SpatialJoin exec node: streams left batches, probes the
-/// broadcast R-tree (spatial filtering), refines candidate pairs with the
-/// registered ST_* UDF, applies post-join conjuncts, and emits the
-/// evaluated output expressions.
-class SpatialJoinNode final : public ProbeJoinNode {
- public:
-  SpatialJoinNode(std::unique_ptr<ExecNode> left_child,
-                  const BroadcastRight* right, const SpatialJoinSpec* spec,
-                  const std::vector<std::unique_ptr<Expr>>* post_filters,
-                  const std::vector<const Expr*>* output_exprs,
-                  bool cache_parsed, Counters* counters,
-                  const index::ProbeOptions& probe);
-
- private:
-  void ProcessLeftBatch(const RowBatch& left_rows) override;
-};
-
-/// The partitioned-strategy spatial join: the right side is sharded into
-/// spatial tiles (exec::TiledRight) and each left batch is probed
-/// tile-major — every probe visits only the tiles its envelope touches,
-/// and replicated candidate pairs are suppressed with the partitioner's
-/// reference-point dedup (OwnerTileOf), so the match *set* equals the
-/// broadcast node's exactly (row order differs: tile-major vs row-major —
-/// no ORDER BY = no ordering contract).
-///
-/// Per-tile compute is metered into `tile_seconds` (one slot per tile,
-/// accumulated across all fragment instances); the runtime reports those
-/// as separate join tasks and deducts them from the enclosing scan
-/// range's timing, which is what lets a simulated cluster schedule hot
-/// tiles independently of the scan ranges that produced them.
-class PartitionedSpatialJoinNode final : public ProbeJoinNode {
- public:
-  PartitionedSpatialJoinNode(
-      std::unique_ptr<ExecNode> left_child, const BroadcastRight* right,
-      const cloudjoin::exec::TiledRight* tiles, const SpatialJoinSpec* spec,
-      const std::vector<std::unique_ptr<Expr>>* post_filters,
-      const std::vector<const Expr*>* output_exprs, bool cache_parsed,
-      Counters* counters, const index::ProbeOptions& probe,
-      std::vector<double>* tile_seconds);
-
- private:
-  void ProcessLeftBatch(const RowBatch& left_rows) override;
-
-  const cloudjoin::exec::TiledRight* tiles_;
-  std::vector<double>* tile_seconds_;
-  // Tile routing scratch: probe indices per tile, reused across batches.
-  std::vector<std::vector<int64_t>> tile_probes_;
 };
 
 /// Nested-loop cross join against the broadcast right side (the naive
@@ -283,11 +247,11 @@ Result<std::unique_ptr<BroadcastRight>> BuildBroadcastRightForPlan(
     const PlanNode& join, const PlanNode& right_scan, const TableDef* table,
     const dfs::SimFile* file, Counters* counters);
 
-/// Instantiates the join operator for plan node `join`: the partitioned
-/// spatial join when `tiled` is non-null, the broadcast spatial join for
-/// kSpatialJoin otherwise, the nested-loop cross join for kCrossJoin.
-/// `output_exprs` views `join.outputs`; `tile_seconds` (partitioned only)
-/// receives per-tile compute.
+/// Instantiates the join operator for plan node `join`: the spatial join
+/// for kSpatialJoin (probing tile-major when `tiled` is non-null), the
+/// nested-loop cross join for kCrossJoin. `output_exprs` views
+/// `join.outputs`; `tile_seconds` (partitioned only) receives per-tile
+/// compute.
 std::unique_ptr<ExecNode> MakeJoinExecNode(
     const PlanNode& join, std::unique_ptr<ExecNode> left_child,
     const BroadcastRight* right, const cloudjoin::exec::TiledRight* tiled,

@@ -52,8 +52,8 @@
 # src/impala/exec_node.cc. So:
 #
 #   8. Exec-node construction (make_unique<HdfsScanNode / SpatialJoinNode /
-#      PartitionedSpatialJoinNode / CrossJoinNode / ProjectNode>) may
-#      appear only in src/impala/exec_node.cc. Any other site building an
+#      CrossJoinNode / ProjectNode>) may appear only in
+#      src/impala/exec_node.cc. Any other site building an
 #      exec object directly from AST or options bypasses the plan — its
 #      queries would execute something EXPLAIN and the serialized plan do
 #      not describe, breaking capture/replay.
@@ -115,7 +115,7 @@ check "streaming window-grid index" \
   "^src/stream/"
 
 check "direct exec-node construction (bypasses the plan contract)" \
-  "make_unique<\(HdfsScanNode\|SpatialJoinNode\|PartitionedSpatialJoinNode\|CrossJoinNode\|ProjectNode\)>" \
+  "make_unique<\(HdfsScanNode\|SpatialJoinNode\|CrossJoinNode\|ProjectNode\)>" \
   "^src/impala/exec_node\.cc"
 
 check "probe loop outside the driver" \
