@@ -13,13 +13,15 @@ namespace cloudjoin::join {
 /// outgrows worker memory (our extension beyond the paper's broadcast-only
 /// prototypes).
 ///
-/// Both inputs are bucketed by spatial tiles computed from a sample of the
-/// right side; items spanning several tiles are replicated; each tile is
-/// joined independently with a local STR-tree; pairs introduced by
-/// replication are reported only by the tile owning the pair's reference
-/// point (the lower-left corner of the envelope intersection), so no
-/// global dedup pass is needed. Results equal BroadcastSpatialJoin
-/// exactly.
+/// The right side is built once and re-sharded into `num_tiles` static
+/// BSP tiles over its entry centers (exec::BuildTiledRight); records
+/// spanning several tiles are replicated, and each left record is probed
+/// against every tile its envelope touches through exec::RunTiledProbes,
+/// which refines a replicated candidate only in the tile owning its
+/// reference point (the lower-left corner of the envelope intersection),
+/// so no global dedup pass is needed. Pairs come back sorted and equal
+/// BroadcastSpatialJoin's; so do the join.candidates / join.matches /
+/// join.sfilter_skipped counts.
 ///
 /// `num_tiles` controls parallel granularity (≈ number of reduce tasks in
 /// the HadoopGIS analogy).
