@@ -49,12 +49,4 @@ std::vector<IdPair> PartitionedSpatialJoin(const std::vector<IdGeometry>& left,
   return out;
 }
 
-std::vector<IdPair> PartitionedSpatialJoin(
-    const std::vector<IdGeometry>& left, const std::vector<IdGeometry>& right,
-    const SpatialPredicate& predicate, const PartitionedJoinOptions& options,
-    Counters* counters) {
-  return PartitionedSpatialJoin(left, right, predicate, options.num_tiles,
-                                counters);
-}
-
 }  // namespace cloudjoin::join

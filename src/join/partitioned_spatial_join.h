@@ -31,31 +31,6 @@ std::vector<IdPair> PartitionedSpatialJoin(const std::vector<IdGeometry>& left,
                                            int num_tiles,
                                            Counters* counters = nullptr);
 
-/// Tuning for the adaptive (skew-aware) variant below.
-struct PartitionedJoinOptions {
-  /// Target tiles for the base BSP partitioning.
-  int num_tiles = 64;
-  /// Hot-tile detection and recursive quad-splitting (LocationSpark's
-  /// skew mitigation), steered by both sides' center samples. Emits the
-  /// `join.hot_tiles_split` counter; results are identical either way.
-  bool adaptive = false;
-  /// A tile is hot when its probe x build sample cost exceeds this
-  /// multiple of the mean tile cost.
-  double skew_factor = 2.0;
-  /// Splitting may grow the tiling to num_tiles * max_tiles_factor.
-  int max_tiles_factor = 4;
-  /// When non-null, receives per-tile join seconds (resized/zeroed to the
-  /// final tile count) — the task durations a cluster replay schedules.
-  std::vector<double>* tile_seconds = nullptr;
-};
-
-/// Options-form of PartitionedSpatialJoin: identical result set (sorted),
-/// with optional hot-tile splitting and per-tile timing capture.
-std::vector<IdPair> PartitionedSpatialJoin(
-    const std::vector<IdGeometry>& left, const std::vector<IdGeometry>& right,
-    const SpatialPredicate& predicate, const PartitionedJoinOptions& options,
-    Counters* counters = nullptr);
-
 }  // namespace cloudjoin::join
 
 #endif  // CLOUDJOIN_JOIN_PARTITIONED_SPATIAL_JOIN_H_
