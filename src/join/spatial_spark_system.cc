@@ -1,14 +1,13 @@
 #include "join/spatial_spark_system.h"
 
+#include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
-#include <algorithm>
-
 #include "exec/geo_parse.h"
+#include "exec/probe_driver.h"
 #include "index/spatial_partitioner.h"
 #include "spark/spark_context.h"
 
@@ -185,9 +184,7 @@ Result<SparkJoinRun> SpatialSparkSystem::PartitionedJoin(
   centers.reserve(envelopes.size());
   for (const geom::Envelope& env : envelopes) {
     extent.ExpandToInclude(env);
-    // Empty geometries (e.g. POLYGON EMPTY) have an empty envelope whose
-    // center is NaN; they carry no spatial information for the layout.
-    if (!env.IsEmpty()) centers.push_back(env.Center());
+    centers.push_back(env.Center());
   }
   // Every right geometry empty: nothing can match, and the partitioner
   // needs a non-empty extent.
@@ -226,17 +223,13 @@ Result<SparkJoinRun> SpatialSparkSystem::PartitionedJoin(
       num_tiles, identity);
 
   // Tile-local indexed joins, one task per tile. Stages run serially, so
-  // accumulating stats and prepare time across tiles is safe.
+  // accumulating stats and prepare time across tiles is safe. Stage name
+  // carries the left path so harness-side extrapolation treats the
+  // (probe-dominated) tile joins as left-side work.
   std::vector<std::vector<IdPair>> tile_pairs(
       static_cast<size_t>(num_tiles));
   ProbeStats probe_stats;
   int64_t prepared_records = 0;
-  // Stage name carries the left path so harness-side extrapolation treats
-  // the (probe-dominated) tile joins as left-side work.
-  // Replicated pairs are suppressed tile-locally with the reference-point
-  // technique (emit only in the tile owning the lower-left corner of the
-  // envelope intersection) instead of a driver-side sort-unique, matching
-  // PartitionedSpatialJoin.
   const ProbeOptions probe_options = probe_;
   ctx.RunStage("partitionedJoin(" + left.path + ")", num_tiles,
                [&](int tile) {
@@ -244,34 +237,38 @@ Result<SparkJoinRun> SpatialSparkSystem::PartitionedJoin(
     right_tiled.ComputePartition(
         tile, [&](const Tagged& kv) { right_local.push_back(kv.second); });
     if (right_local.empty()) return;
-    std::unordered_map<int64_t, geom::Envelope> right_envelopes;
-    right_envelopes.reserve(right_local.size());
-    for (const IdGeometry& g : right_local) {
-      geom::Envelope env = g.geometry.envelope();
-      env.ExpandBy(radius);
-      right_envelopes.emplace(g.id, env);
-    }
-    BroadcastIndex index(std::move(right_local), radius, prepare_);
+    const BroadcastIndex index(std::move(right_local), radius, prepare_);
     run.prepare_seconds += index.prepare_seconds();
     prepared_records += index.num_prepared();
-    auto* out = &tile_pairs[static_cast<size_t>(tile)];
-    // Tile-local row batch: materialize the tile's left records, probe
-    // them through the columnar driver, and suppress replicated pairs in
-    // the emit callback (the probe's range index recovers the left
-    // envelope for the owner-tile test).
     std::vector<IdGeometry> left_local;
     left_tiled.ComputePartition(
         tile, [&](const Tagged& kv) { left_local.push_back(kv.second); });
-    index.Probe(
-        std::span<const IdGeometry>(left_local.data(), left_local.size()),
-        predicate, probe_options,
-        [&](int64_t i, const IdPair& pair) {
-          const geom::Envelope left_env =
-              left_local[static_cast<size_t>(i)].geometry.envelope();
-          if (partitioner->OwnerTileOf(
-                  left_env, right_envelopes.at(pair.second)) == tile) {
-            out->push_back(pair);
-          }
+    // Tile-local row batch through the exec per-tile step: a replicated
+    // candidate is refined only by the tile owning its reference point,
+    // so every pair is reported once, with no driver-side dedup.
+    const exec::BuiltRight& built = index.core();
+    const exec::JtsRefiner refiner(&built.records, &built.prepared);
+    auto* out = &tile_pairs[static_cast<size_t>(tile)];
+    exec::RunTileProbes(
+        *partitioner, tile, static_cast<int64_t>(left_local.size()),
+        *built.tree, *built.packed, built.sfilter.get(), probe_options,
+        [&](int64_t i) -> const geom::Envelope& {
+          return left_local[static_cast<size_t>(i)].geometry.envelope();
+        },
+        [&](int64_t slot) {
+          geom::Envelope env =
+              built.records[static_cast<size_t>(slot)].geometry.envelope();
+          env.ExpandBy(radius);
+          return env;
+        },
+        [&](int64_t i, int64_t slot) {
+          return refiner.Refine(left_local[static_cast<size_t>(i)].geometry,
+                                static_cast<size_t>(slot), predicate,
+                                &probe_stats.refine);
+        },
+        [&](int64_t i, int64_t slot) {
+          out->emplace_back(left_local[static_cast<size_t>(i)].id,
+                            built.records[static_cast<size_t>(slot)].id);
         },
         &probe_stats);
   });

@@ -59,8 +59,10 @@ class SpatialSparkSystem {
   /// Partitioned-join mode (real SpatialSpark's alternative to
   /// broadcasting, for right sides that do not fit worker memory): both
   /// sides are tagged with spatial tiles from a sample-driven BSP layout,
-  /// shuffled by tile, and joined tile-locally; replicated pairs are
-  /// deduplicated. Results equal Join() exactly.
+  /// shuffled by tile, and joined tile-locally through exec::RunTileProbes,
+  /// which refines a replicated pair only in the tile owning its reference
+  /// point. Pairs, join.candidates and join.matches equal Join()'s; the
+  /// sFilter is per tile, so join.sfilter_skipped differs.
   Result<SparkJoinRun> PartitionedJoin(const TableInput& left,
                                        const TableInput& right,
                                        const SpatialPredicate& predicate,
