@@ -138,16 +138,29 @@ TEST_P(JoinOracleProperty, IntersectsMatchesNestedLoop) {
   EXPECT_EQ(indexed, oracle);
 }
 
+/// The partitioned join refines a replicated candidate only in the tile
+/// owning it, so it counts exactly the broadcast join's candidates and
+/// matches, whatever the tiling.
+void ExpectBroadcastProbeCounts(const Counters& partitioned,
+                                const Counters& broadcast) {
+  EXPECT_EQ(partitioned.Get("join.candidates"),
+            broadcast.Get("join.candidates"));
+  EXPECT_EQ(partitioned.Get("join.matches"), broadcast.Get("join.matches"));
+}
+
 TEST_P(JoinOracleProperty, PartitionedMatchesBroadcast) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 3571);
   auto points = RandomPoints(&rng, 300, 1000);
   auto polys = RandomPolygons(&rng, 50, 1000);
+  Counters broadcast_counters;
+  auto broadcast = Sorted(BroadcastSpatialJoin(
+      points, polys, SpatialPredicate::Within(), &broadcast_counters));
   for (int tiles : {1, 4, 16}) {
+    Counters counters;
     auto partitioned = Sorted(PartitionedSpatialJoin(
-        points, polys, SpatialPredicate::Within(), tiles));
-    auto broadcast = Sorted(
-        BroadcastSpatialJoin(points, polys, SpatialPredicate::Within()));
+        points, polys, SpatialPredicate::Within(), tiles, &counters));
     EXPECT_EQ(partitioned, broadcast) << "tiles=" << tiles;
+    ExpectBroadcastProbeCounts(counters, broadcast_counters);
   }
 }
 
@@ -187,12 +200,16 @@ TEST(PartitionedDegenerateTest, DegenerateEnvelopesMatchBroadcastOracle) {
   for (const SpatialPredicate& predicate :
        {SpatialPredicate::Within(), SpatialPredicate::NearestD(2.0),
         SpatialPredicate::Intersects()}) {
-    auto broadcast = Sorted(BroadcastSpatialJoin(left, right, predicate));
+    Counters broadcast_counters;
+    auto broadcast = Sorted(
+        BroadcastSpatialJoin(left, right, predicate, &broadcast_counters));
     ASSERT_FALSE(broadcast.empty());
     for (int tiles : {1, 2, 3, 5, 8, 16}) {
-      auto partitioned =
-          Sorted(PartitionedSpatialJoin(left, right, predicate, tiles));
+      Counters counters;
+      auto partitioned = Sorted(
+          PartitionedSpatialJoin(left, right, predicate, tiles, &counters));
       EXPECT_EQ(partitioned, broadcast) << "tiles=" << tiles;
+      ExpectBroadcastProbeCounts(counters, broadcast_counters);
     }
   }
 }
@@ -273,10 +290,14 @@ TEST_P(JoinOracleProperty, PartitionedNearestDMatchesBroadcast) {
   auto points = RandomPoints(&rng, 200, 1000);
   auto lines = RandomPolylines(&rng, 50, 1000);
   SpatialPredicate predicate = SpatialPredicate::NearestD(40.0);
+  Counters counters;
   auto partitioned =
-      Sorted(PartitionedSpatialJoin(points, lines, predicate, 8));
-  auto broadcast = Sorted(BroadcastSpatialJoin(points, lines, predicate));
+      Sorted(PartitionedSpatialJoin(points, lines, predicate, 8, &counters));
+  Counters broadcast_counters;
+  auto broadcast = Sorted(
+      BroadcastSpatialJoin(points, lines, predicate, &broadcast_counters));
   EXPECT_EQ(partitioned, broadcast);
+  ExpectBroadcastProbeCounts(counters, broadcast_counters);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinOracleProperty, ::testing::Range(1, 9));
