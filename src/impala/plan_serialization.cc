@@ -20,6 +20,27 @@ std::string FormatG17(double value) {
   return buf;
 }
 
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+
+/// The one integer parse of plan text: `key`'s value must be a decimal
+/// integer in [lo, hi] — by default a non-negative int — checked before
+/// the caller narrows it, so an out-of-range value is a kParseError
+/// instead of silently becoming another slot or count.
+Result<int64_t> ParseIntValue(std::string_view value, std::string_view key,
+                              int64_t lo = 0, int64_t hi = kIntMax) {
+  auto parsed = ParseInt64(value);
+  if (!parsed.ok()) {
+    return Status::ParseError("bad integer '" + std::string(value) +
+                              "' for " + std::string(key));
+  }
+  if (*parsed < lo || *parsed > hi) {
+    return Status::ParseError(std::string(key) + " out of range [" +
+                              std::to_string(lo) + ", " + std::to_string(hi) +
+                              "]: " + std::string(value));
+  }
+  return *parsed;
+}
+
 const char* TypeToken(ColumnType type) {
   switch (type) {
     case ColumnType::kInt64:
@@ -222,24 +243,16 @@ class SexprParser {
         std::make_unique<LiteralExpr>(std::move(value), type));
   }
 
-  Result<int64_t> ExpectInt() {
+  Result<int64_t> ExpectInt(std::string_view what, int64_t lo, int64_t hi) {
     CLOUDJOIN_ASSIGN_OR_RETURN(const SexprToken* token,
                                Expect(SexprToken::Kind::kAtom));
-    auto parsed = ParseInt64(token->text);
-    if (!parsed.ok()) {
-      return Status::ParseError("bad integer '" + token->text +
-                                "' in expression");
-    }
-    return *parsed;
+    return ParseIntValue(token->text, what, lo, hi);
   }
 
   Result<std::unique_ptr<Expr>> ParseSlot() {
-    CLOUDJOIN_ASSIGN_OR_RETURN(int64_t side, ExpectInt());
-    if (side != 0 && side != 1) {
-      return Status::ParseError("slot side must be 0 or 1");
-    }
-    CLOUDJOIN_ASSIGN_OR_RETURN(int64_t slot, ExpectInt());
-    if (slot < 0) return Status::ParseError("negative slot index");
+    CLOUDJOIN_ASSIGN_OR_RETURN(int64_t side, ExpectInt("slot side", 0, 1));
+    CLOUDJOIN_ASSIGN_OR_RETURN(int64_t slot,
+                               ExpectInt("slot index", 0, kIntMax));
     CLOUDJOIN_ASSIGN_OR_RETURN(const SexprToken* type_token,
                                Expect(SexprToken::Kind::kAtom));
     CLOUDJOIN_ASSIGN_OR_RETURN(ColumnType type,
@@ -345,13 +358,6 @@ Result<bool> ParseBoolValue(std::string_view value) {
                             "'");
 }
 
-Result<int64_t> ParseIntValue(std::string_view value) {
-  auto parsed = ParseInt64(value);
-  if (!parsed.ok()) {
-    return Status::ParseError("bad integer '" + std::string(value) + "'");
-  }
-  return *parsed;
-}
 
 Result<double> ParseDoubleValue(std::string_view value) {
   auto parsed = ParseDouble(value);
@@ -475,10 +481,8 @@ Result<std::unique_ptr<PlanNode>> ParseNode(LineCursor* cursor) {
         if (key == "table") {
           CLOUDJOIN_ASSIGN_OR_RETURN(node->table_name, ParseQuoted(value));
         } else if (key == "side") {
-          CLOUDJOIN_ASSIGN_OR_RETURN(int64_t side, ParseIntValue(value));
-          if (side != 0 && side != 1) {
-            return Status::ParseError("scan side must be 0 or 1");
-          }
+          CLOUDJOIN_ASSIGN_OR_RETURN(int64_t side,
+                                     ParseIntValue(value, key, 0, 1));
           node->side = static_cast<int>(side);
         } else if (key == "format") {
           if (value == "text") {
@@ -525,10 +529,10 @@ Result<std::unique_ptr<PlanNode>> ParseNode(LineCursor* cursor) {
           CLOUDJOIN_ASSIGN_OR_RETURN(node->spatial.predicate,
                                      ParsePredicateToken(value));
         } else if (key == "left_geom") {
-          CLOUDJOIN_ASSIGN_OR_RETURN(int64_t slot, ParseIntValue(value));
+          CLOUDJOIN_ASSIGN_OR_RETURN(int64_t slot, ParseIntValue(value, key));
           node->spatial.left_geom_slot = static_cast<int>(slot);
         } else if (key == "right_geom") {
-          CLOUDJOIN_ASSIGN_OR_RETURN(int64_t slot, ParseIntValue(value));
+          CLOUDJOIN_ASSIGN_OR_RETURN(int64_t slot, ParseIntValue(value, key));
           node->spatial.right_geom_slot = static_cast<int>(slot);
         } else if (key == "distance") {
           CLOUDJOIN_ASSIGN_OR_RETURN(node->spatial.distance,
@@ -543,13 +547,8 @@ Result<std::unique_ptr<PlanNode>> ParseNode(LineCursor* cursor) {
           CLOUDJOIN_ASSIGN_OR_RETURN(node->prepare_geometries,
                                      ParseBoolValue(value));
         } else if (key == "probe_batch") {
-          CLOUDJOIN_ASSIGN_OR_RETURN(int64_t batch, ParseIntValue(value));
-          if (batch < 1 || batch > std::numeric_limits<int>::max()) {
-            return Status::ParseError("probe_batch out of range [1, " +
-                                      std::to_string(
-                                          std::numeric_limits<int>::max()) +
-                                      "]: " + std::string(value));
-          }
+          CLOUDJOIN_ASSIGN_OR_RETURN(int64_t batch,
+                                     ParseIntValue(value, key, 1, kIntMax));
           node->probe.batch_size = static_cast<int>(batch);
         } else if (key == "probe_hilbert") {
           CLOUDJOIN_ASSIGN_OR_RETURN(node->probe.hilbert_sort,
@@ -564,7 +563,7 @@ Result<std::unique_ptr<PlanNode>> ParseNode(LineCursor* cursor) {
           CLOUDJOIN_ASSIGN_OR_RETURN(node->decision.forced,
                                      ParseBoolValue(value));
         } else if (key == "tiles") {
-          CLOUDJOIN_ASSIGN_OR_RETURN(int64_t tiles, ParseIntValue(value));
+          CLOUDJOIN_ASSIGN_OR_RETURN(int64_t tiles, ParseIntValue(value, key));
           node->decision.num_tiles = static_cast<int>(tiles);
         } else if (key == "est_broadcast") {
           CLOUDJOIN_ASSIGN_OR_RETURN(node->decision.est_broadcast_seconds,
@@ -582,7 +581,8 @@ Result<std::unique_ptr<PlanNode>> ParseNode(LineCursor* cursor) {
           CLOUDJOIN_ASSIGN_OR_RETURN(node->skew_factor,
                                      ParseDoubleValue(value));
         } else if (key == "max_tiles_factor") {
-          CLOUDJOIN_ASSIGN_OR_RETURN(int64_t factor, ParseIntValue(value));
+          CLOUDJOIN_ASSIGN_OR_RETURN(int64_t factor,
+                                     ParseIntValue(value, key));
           node->max_tiles_factor = static_cast<int>(factor);
         } else if (key == "post_filter") {
           CLOUDJOIN_ASSIGN_OR_RETURN(std::unique_ptr<Expr> expr,
@@ -623,8 +623,7 @@ Result<std::unique_ptr<PlanNode>> ParseNode(LineCursor* cursor) {
       }
       case PlanNode::Kind::kAggregate: {
         if (key == "keys") {
-          CLOUDJOIN_ASSIGN_OR_RETURN(int64_t keys, ParseIntValue(value));
-          if (keys < 0) return Status::ParseError("negative group-key count");
+          CLOUDJOIN_ASSIGN_OR_RETURN(int64_t keys, ParseIntValue(value, key));
           node->num_group_keys = static_cast<int>(keys);
         } else if (key == "agg") {
           // "<kind> <distinct> <hidden> '<name>'"
@@ -651,7 +650,10 @@ Result<std::unique_ptr<PlanNode>> ParseNode(LineCursor* cursor) {
       }
       case PlanNode::Kind::kLimit: {
         if (key == "limit") {
-          CLOUDJOIN_ASSIGN_OR_RETURN(node->limit, ParseIntValue(value));
+          CLOUDJOIN_ASSIGN_OR_RETURN(
+              node->limit,
+              ParseIntValue(value, key, std::numeric_limits<int64_t>::min(),
+                            std::numeric_limits<int64_t>::max()));
         } else {
           handled = false;
         }
@@ -803,7 +805,9 @@ Result<QueryPlan> DeserializePlan(const std::string& text) {
     }
     CLOUDJOIN_ASSIGN_OR_RETURN(
         int64_t version,
-        ParseIntValue(header.substr(kPlanHeaderPrefix.size())));
+        ParseIntValue(header.substr(kPlanHeaderPrefix.size()), "version",
+                      std::numeric_limits<int64_t>::min(),
+                      std::numeric_limits<int64_t>::max()));
     if (version != kPlanVersion) {
       return Status::ParseError("unsupported plan version " +
                                 std::to_string(version) + " (this build " +
@@ -828,11 +832,11 @@ Result<QueryPlan> DeserializePlan(const std::string& text) {
                                 "' has no value");
     }
     if (key == "fragments") {
-      CLOUDJOIN_ASSIGN_OR_RETURN(int64_t fragments, ParseIntValue(value));
+      CLOUDJOIN_ASSIGN_OR_RETURN(int64_t fragments, ParseIntValue(value, key));
       plan.num_fragments = static_cast<int>(fragments);
       saw_fragments = true;
     } else if (key == "visible") {
-      CLOUDJOIN_ASSIGN_OR_RETURN(int64_t visible, ParseIntValue(value));
+      CLOUDJOIN_ASSIGN_OR_RETURN(int64_t visible, ParseIntValue(value, key));
       plan.visible_columns = static_cast<int>(visible);
       saw_visible = true;
     } else if (key == "column") {

@@ -1,6 +1,7 @@
 #include "impala/runtime.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -182,6 +183,61 @@ Result<const TableDef*> ResolveScanTable(const Catalog& catalog,
   return table;
 }
 
+/// The most tiles a partitioned plan may ask the partitioner for
+/// (num_tiles x max_tiles_factor): far above the planner's own
+/// max(64, 4 x cores) x 4, and far below a tile count whose per-tile work
+/// lists would exhaust memory.
+constexpr int64_t kMaxPartitionedTiles = 65536;
+
+/// Checks a spatial-join node's numbers before anything is built — plan
+/// text is client input: each geometry slot must lie inside its scan's
+/// row, a NearestD distance must be finite (a negative one is legal and
+/// matches nothing), and a partitioned plan's tiling must be one the
+/// partitioner accepts.
+Status ValidateSpatialJoin(const PlanNode& join, const TableDef& left,
+                           const TableDef& right) {
+  const SpatialJoinSpec& spatial = join.spatial;
+  if (spatial.left_geom_slot < 0 ||
+      static_cast<size_t>(spatial.left_geom_slot) >= left.columns.size() ||
+      spatial.right_geom_slot < 0 ||
+      static_cast<size_t>(spatial.right_geom_slot) >= right.columns.size()) {
+    return Status::InvalidArgument(
+        "spatial-join geometry slots (" +
+        std::to_string(spatial.left_geom_slot) + ", " +
+        std::to_string(spatial.right_geom_slot) + ") lie outside the " +
+        "scanned rows (" + std::to_string(left.columns.size()) + " and " +
+        std::to_string(right.columns.size()) + " columns)");
+  }
+  if (spatial.predicate == SpatialJoinSpec::Predicate::kNearestD &&
+      !std::isfinite(spatial.distance)) {
+    return Status::InvalidArgument("NearestD distance must be finite");
+  }
+  if (join.decision.strategy != plan::JoinStrategy::kPartitioned) {
+    return Status::OK();
+  }
+  if (join.decision.num_tiles <= 0) {
+    return Status::InvalidArgument(
+        "partitioned spatial-join plan is missing its tile count");
+  }
+  if (!std::isfinite(join.skew_factor) || !(join.skew_factor > 0.0)) {
+    return Status::InvalidArgument(
+        "partitioned skew_factor must be finite and greater than 0");
+  }
+  if (join.max_tiles_factor < 1) {
+    return Status::InvalidArgument(
+        "partitioned max_tiles_factor must be at least 1");
+  }
+  if (int64_t{join.decision.num_tiles} * join.max_tiles_factor >
+      kMaxPartitionedTiles) {
+    return Status::InvalidArgument(
+        "partitioned tiling asks for " +
+        std::to_string(join.decision.num_tiles) + " x " +
+        std::to_string(join.max_tiles_factor) + " tiles, more than " +
+        std::to_string(kMaxPartitionedTiles));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string BroadcastFingerprint::Key() const {
@@ -252,6 +308,11 @@ Result<QueryResult> ImpalaRuntime::ExecutePlan(const QueryPlan& plan,
     CLOUDJOIN_ASSIGN_OR_RETURN(right_table,
                                ResolveScanTable(catalog_, *shape.right_scan));
   }
+  const bool is_spatial = shape.leaf->kind == PlanNode::Kind::kSpatialJoin;
+  if (is_spatial) {
+    CLOUDJOIN_RETURN_IF_ERROR(
+        ValidateSpatialJoin(*shape.leaf, *left_table, *right_table));
+  }
 
   // Output expressions the leaf evaluates per emitted row (aggregating
   // plans stream [group keys..., aggregate inputs...]).
@@ -260,8 +321,6 @@ Result<QueryResult> ImpalaRuntime::ExecutePlan(const QueryPlan& plan,
   for (const auto& expr : shape.leaf->outputs) {
     output_exprs.push_back(expr.get());
   }
-
-  const bool is_spatial = shape.leaf->kind == PlanNode::Kind::kSpatialJoin;
 
   // ---- Broadcast build (right side), once per query — or resolved from
   // a serving-layer provider that retains builds across queries. ----
@@ -328,10 +387,6 @@ Result<QueryResult> ImpalaRuntime::ExecutePlan(const QueryPlan& plan,
     // under either strategy, only the task layout changes. ----
     if (is_spatial) {
       if (shape.leaf->decision.strategy == plan::JoinStrategy::kPartitioned) {
-        if (shape.leaf->decision.num_tiles <= 0) {
-          return Status::InvalidArgument(
-              "partitioned spatial-join plan is missing its tile count");
-        }
         cloudjoin::exec::TiledRightOptions topts;
         topts.num_tiles = shape.leaf->decision.num_tiles;
         topts.adaptive = shape.leaf->adaptive_partitioning;

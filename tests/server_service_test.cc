@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -324,6 +325,138 @@ TEST_F(QueryServiceTest, BadProbeBatchInPlanTextIsAParseError) {
   Result<QueryResponse> again = service->ExecutePlan(session, plan_text);
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_EQ(RowsToPairs(again->result.rows), RowsToPairs(good->result.rows));
+}
+
+/// Replaces the first line of `text` that starts with `prefix` by
+/// `replacement` (plan text mutation for the rejection tests below).
+std::string ReplacePlanLine(std::string text, const std::string& prefix,
+                            const std::string& replacement) {
+  const size_t pos = text.find("\n" + prefix);
+  CLOUDJOIN_CHECK(pos != std::string::npos) << prefix;
+  const size_t end = text.find('\n', pos + 1);
+  text.replace(pos + 1, end - pos - 1, replacement);
+  return text;
+}
+
+// Every integer in plan text is range-checked before it is narrowed, and a
+// spatial join's geometry slots must lie inside its scans' rows: each bad
+// value below once crashed the process, ran a different query or read past
+// the row. Each now comes back as an error Status, and the same service
+// then answers the good plan.
+TEST_F(QueryServiceTest, OutOfRangePlanIntegersAreRejected) {
+  auto service = MakeService(ServiceOptions());
+  Session* session = service->CreateSession();
+  Result<QueryResponse> join = service->Execute(session, TaxiNycbSql());
+  ASSERT_TRUE(join.ok()) << join.status();
+  Result<QueryResponse> grouped = service->Execute(
+      session, "SELECT nycb.id, COUNT(*) FROM taxi SPATIAL JOIN nycb WHERE " +
+                   join::PredicateSql(suite_.taxi_nycb.predicate, "taxi",
+                                      "nycb") +
+                   " GROUP BY nycb.id");
+  ASSERT_TRUE(grouped.ok()) << grouped.status();
+  struct Case {
+    const std::string* plan_text;
+    const char* prefix;
+    const char* replacement;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {&join->plan_text, "left_geom ", "left_geom 4294967297",
+       StatusCode::kParseError},
+      {&join->plan_text, "left_geom ", "left_geom -1",
+       StatusCode::kParseError},
+      {&join->plan_text, "left_geom ", "left_geom 7",
+       StatusCode::kInvalidArgument},
+      {&join->plan_text, "right_geom ", "right_geom -1",
+       StatusCode::kParseError},
+      {&join->plan_text, "right_geom ", "right_geom 7",
+       StatusCode::kInvalidArgument},
+      {&join->plan_text, "tiles ", "tiles 4294967301",
+       StatusCode::kParseError},
+      {&join->plan_text, "max_tiles_factor ", "max_tiles_factor 4294967297",
+       StatusCode::kParseError},
+      {&join->plan_text, "fragments ", "fragments 4294967299",
+       StatusCode::kParseError},
+      {&join->plan_text, "visible ", "visible 4294967297",
+       StatusCode::kParseError},
+      {&join->plan_text, "output ", "output (slot 0 2147483648 i64)",
+       StatusCode::kParseError},
+      {&grouped->plan_text, "keys ", "keys 4294967297",
+       StatusCode::kParseError},
+  };
+  for (const Case& c : cases) {
+    Result<QueryResponse> replay = service->ExecutePlan(
+        session, ReplacePlanLine(*c.plan_text, c.prefix, c.replacement));
+    ASSERT_FALSE(replay.ok()) << c.replacement;
+    EXPECT_EQ(replay.status().code(), c.code)
+        << c.replacement << ": " << replay.status();
+  }
+  Result<QueryResponse> again = service->ExecutePlan(session, join->plan_text);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(RowsToPairs(again->result.rows), RowsToPairs(join->result.rows));
+}
+
+// Partitioned tiling options and NearestD distances are checked before
+// the tiler runs: a non-positive or NaN skew factor, a split factor below
+// one, a tile count near INT_MAX and a non-finite distance each come back
+// as InvalidArgument instead of aborting, allocating ~2^31 tiles or
+// silently returning no rows.
+TEST_F(QueryServiceTest, BadPartitionedAndDistanceNumbersAreRejected) {
+  auto service = MakeService(ServiceOptions());
+  auto lion = service->RegisterTable("lion", suite_.taxi_lion_100.right);
+  ASSERT_TRUE(lion.ok()) << lion.status();
+  Session* session = service->CreateSession();
+  impala::QueryOptions partitioned;
+  partitioned.join_strategy = plan::JoinStrategy::kPartitioned;
+  partitioned.partitioned_tiles = 5;
+  Result<QueryResponse> tiled =
+      service->Execute(session, TaxiNycbSql(), partitioned);
+  ASSERT_TRUE(tiled.ok()) << tiled.status();
+  const std::string nearest_sql =
+      WorkloadSql(suite_.taxi_lion_100, "taxi", "lion");
+  Result<QueryResponse> nearest = service->Execute(session, nearest_sql);
+  ASSERT_TRUE(nearest.ok()) << nearest.status();
+  ASSERT_NE(nearest->plan_text.find("\ndistance "), std::string::npos);
+
+  struct Case {
+    const std::string* plan_text;
+    const char* prefix;
+    const char* replacement;
+  };
+  const Case cases[] = {
+      {&tiled->plan_text, "skew_factor ", "skew_factor 0"},
+      {&tiled->plan_text, "skew_factor ", "skew_factor nan"},
+      {&tiled->plan_text, "skew_factor ", "skew_factor -inf"},
+      {&tiled->plan_text, "max_tiles_factor ", "max_tiles_factor 0"},
+      {&tiled->plan_text, "tiles ", "tiles 2147483647"},
+      {&nearest->plan_text, "distance ", "distance inf"},
+      {&nearest->plan_text, "distance ", "distance nan"},
+  };
+  for (const Case& c : cases) {
+    Result<QueryResponse> replay = service->ExecutePlan(
+        session, ReplacePlanLine(*c.plan_text, c.prefix, c.replacement));
+    ASSERT_FALSE(replay.ok()) << c.replacement;
+    EXPECT_EQ(replay.status().code(), StatusCode::kInvalidArgument)
+        << c.replacement << ": " << replay.status();
+  }
+  impala::QueryOptions huge = partitioned;
+  huge.partitioned_tiles = std::numeric_limits<int>::max();
+  Result<QueryResponse> rejected =
+      service->Execute(session, TaxiNycbSql(), huge);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+  // A negative distance is legal (SQL can express it) and matches nothing.
+  Result<QueryResponse> negative = service->ExecutePlan(
+      session,
+      ReplacePlanLine(nearest->plan_text, "distance ", "distance -1"));
+  ASSERT_TRUE(negative.ok()) << negative.status();
+  EXPECT_TRUE(negative->result.rows.empty());
+
+  Result<QueryResponse> again =
+      service->ExecutePlan(session, tiled->plan_text);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->result.rows.size(), tiled->result.rows.size());
 }
 
 TEST_F(QueryServiceTest, BadProbeBatchInQueryOptionsIsInvalidArgument) {
