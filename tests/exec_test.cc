@@ -680,18 +680,20 @@ TEST(TiledRightTest, AdaptiveSplitsHotTilesAndCountsThem) {
 }
 
 TEST(TiledRightTest, EmptyRightSideYieldsNoTiling) {
-  // No records at all, and records whose envelopes are all empty (the
-  // tree bounds are empty either way: nothing can match).
-  for (const char* right_text :
-       {"", "0\tPOLYGON EMPTY\n1\tPOLYGON EMPTY\n"}) {
-    dfs::SimFileSystem fs(4, /*block_size=*/16 * 1024);
-    Counters counters;
-    auto right = BuildFrom(&fs, right_text, PrepareOptions(), &counters);
-    ASSERT_TRUE(right.ok()) << right.status();
-    EXPECT_EQ(BuildTiledRight(*right, TiledRightOptions(), &counters),
-              nullptr)
-        << right_text;
-  }
+  dfs::SimFileSystem fs(4, /*block_size=*/16 * 1024);
+  Counters counters;
+  auto right = BuildFrom(&fs, "", PrepareOptions(), &counters);
+  ASSERT_TRUE(right.ok()) << right.status();
+  EXPECT_EQ(BuildTiledRight(*right, TiledRightOptions(), &counters), nullptr);
+
+  // Entries whose envelopes are all empty (EMPTY geometries through the
+  // geom kernel): the tree bounds are empty, and nothing can match.
+  RightIndexBuilder builder(/*radius=*/0.0, PrepareOptions());
+  builder.AddGeomRecords({{0, geom::Geometry(geom::GeometryType::kPolygon)},
+                          {1, geom::Geometry(geom::GeometryType::kPolygon)}});
+  const BuiltRight empties = builder.Finish(&counters);
+  ASSERT_EQ(empties.tree->num_entries(), 2);
+  EXPECT_EQ(BuildTiledRight(empties, TiledRightOptions(), &counters), nullptr);
 }
 
 }  // namespace
