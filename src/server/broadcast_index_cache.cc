@@ -105,6 +105,28 @@ void BroadcastIndexCache::Clear() {
   }
 }
 
+BroadcastIndexCache::BuildLock::BuildLock(BroadcastIndexCache* cache,
+                                          const std::string& key)
+    : cache_(cache), key_(key) {
+  {
+    std::lock_guard<std::mutex> guard(cache_->build_locks_mu_);
+    lock_ = &cache_->build_locks_[key_];
+    ++lock_->users;
+  }
+  lock_->mu.lock();
+}
+
+BroadcastIndexCache::BuildLock::~BuildLock() {
+  lock_->mu.unlock();
+  std::lock_guard<std::mutex> guard(cache_->build_locks_mu_);
+  if (--lock_->users == 0) cache_->build_locks_.erase(key_);
+}
+
+int64_t BroadcastIndexCache::NumBuildLocks() const {
+  std::lock_guard<std::mutex> guard(build_locks_mu_);
+  return static_cast<int64_t>(build_locks_.size());
+}
+
 BroadcastIndexCache::Stats BroadcastIndexCache::GetStats() const {
   Stats total;
   for (const auto& shard_ptr : shards_) {

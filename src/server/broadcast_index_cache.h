@@ -9,6 +9,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/result.h"
+
 namespace cloudjoin::server {
 
 /// Memory-budgeted, sharded LRU cache of built broadcast structures —
@@ -74,6 +76,39 @@ class BroadcastIndexCache {
     return std::static_pointer_cast<const T>(Lookup(key));
   }
 
+  /// Single-flight resolution of `key`: returns the cached value (`*hit`
+  /// true), or runs `build` — once per key across concurrent callers —
+  /// and inserts its value linked to `table`, charged at its
+  /// MemoryBytes() (`*hit` false). A caller that waited for another's
+  /// build finds the inserted value and reports a hit. Each call counts
+  /// one Lookup, plus a second one after taking the key's build lock on
+  /// a miss. The build lock lives only while some caller holds or awaits
+  /// it. `T` must match the key's namespace; `build()` returns
+  /// `Result<std::shared_ptr<const T>>`, and an error is returned as is,
+  /// caching nothing.
+  template <typename T, typename Build>
+  Result<std::shared_ptr<const T>> GetOrBuild(const std::string& key,
+                                              const std::string& table,
+                                              const Build& build, bool* hit) {
+    if (auto cached = LookupAs<T>(key)) {
+      *hit = true;
+      return cached;
+    }
+    const BuildLock lock(this, key);
+    if (auto cached = LookupAs<T>(key)) {
+      *hit = true;
+      return cached;
+    }
+    std::shared_ptr<const T> built;
+    CLOUDJOIN_ASSIGN_OR_RETURN(built, build());
+    Insert(key, table, built->MemoryBytes(), built);
+    *hit = false;
+    return built;
+  }
+
+  /// Keys whose build lock some GetOrBuild caller holds or awaits.
+  int64_t NumBuildLocks() const;
+
   /// Inserts (or replaces) `key` with a value of `bytes` resident size,
   /// evicting least-recently-used entries of the same shard as needed.
   /// Returns false — and caches nothing — when `bytes` alone exceeds the
@@ -114,11 +149,35 @@ class BroadcastIndexCache {
     Stats stats;  // per-shard slice; aggregated by GetStats()
   };
 
+  /// One key's build lock: misses on the key serialize on `mu`; `users`
+  /// counts the callers holding or awaiting it, and the last one out
+  /// erases the entry.
+  struct KeyLock {
+    std::mutex mu;
+    int users = 0;
+  };
+
+  /// Holds `key`'s build lock for its lifetime.
+  class BuildLock {
+   public:
+    BuildLock(BroadcastIndexCache* cache, const std::string& key);
+    ~BuildLock();
+    BuildLock(const BuildLock&) = delete;
+    BuildLock& operator=(const BuildLock&) = delete;
+
+   private:
+    BroadcastIndexCache* cache_;
+    std::string key_;
+    KeyLock* lock_;
+  };
+
   Shard& ShardFor(const std::string& key);
 
   const Options options_;
   const int64_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex build_locks_mu_;
+  std::unordered_map<std::string, KeyLock> build_locks_;
 };
 
 }  // namespace cloudjoin::server

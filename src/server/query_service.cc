@@ -19,7 +19,7 @@
 namespace cloudjoin::server {
 
 /// The service's `impala::BroadcastProvider`: resolves broadcast builds
-/// through the shared LRU cache with single-flight deduplication.
+/// through the shared LRU cache's single-flight GetOrBuild.
 class QueryService::CachingProvider : public impala::BroadcastProvider {
  public:
   explicit CachingProvider(BroadcastIndexCache* cache) : cache_(cache) {}
@@ -27,29 +27,12 @@ class QueryService::CachingProvider : public impala::BroadcastProvider {
   Result<std::shared_ptr<const impala::BroadcastRight>> GetOrBuild(
       const impala::BroadcastFingerprint& fingerprint, const Builder& build,
       bool* cache_hit) override {
-    const std::string key = fingerprint.Key();
-    if (auto hit = cache_->LookupAs<impala::BroadcastRight>(key)) {
-      *cache_hit = true;
-      return hit;
-    }
-    // Single flight: the first miss builds; concurrent misses for the
-    // same key wait here and then find the entry.
-    std::shared_ptr<std::mutex> flight = flights_.Get(key);
-    std::lock_guard<std::mutex> flight_lock(*flight);
-    if (auto hit = cache_->LookupAs<impala::BroadcastRight>(key)) {
-      *cache_hit = true;
-      return hit;
-    }
-    std::shared_ptr<const impala::BroadcastRight> built;
-    CLOUDJOIN_ASSIGN_OR_RETURN(built, build());
-    cache_->Insert(key, fingerprint.table_name, built->MemoryBytes(), built);
-    *cache_hit = false;
-    return built;
+    return cache_->GetOrBuild<impala::BroadcastRight>(
+        fingerprint.Key(), fingerprint.table_name, build, cache_hit);
   }
 
  private:
   BroadcastIndexCache* cache_;
-  KeyedMutex flights_;
 };
 
 QueryService::QueryService(dfs::SimFileSystem* fs,
@@ -210,37 +193,28 @@ Result<KernelJoinResponse> QueryService::ExecuteBroadcastJoin(
       "|v=" + std::to_string(request.right_version) + "|" +
       request.predicate.ToString() + "|" + request.prepare.Fingerprint();
 
+  auto build = [&]() -> Result<std::shared_ptr<const join::BroadcastIndex>> {
+    Stopwatch build_watch;
+    std::vector<join::IdGeometry> records = right_loader();
+    // Never hand the caller's pool to an in-service build: the pool's
+    // Wait() is global and would synchronize with unrelated queries.
+    join::PrepareOptions prepare = request.prepare;
+    prepare.pool = nullptr;
+    auto built = std::make_shared<const join::BroadcastIndex>(
+        std::move(records), request.predicate.FilterRadius(), prepare);
+    response.build_seconds = build_watch.ElapsedSeconds();
+    return std::shared_ptr<const join::BroadcastIndex>(std::move(built));
+  };
   std::shared_ptr<const join::BroadcastIndex> index;
   if (options_.enable_cache) {
-    index = cache_.LookupAs<join::BroadcastIndex>(key);
-  }
-  if (index != nullptr) {
-    response.index_cache_hit = true;
-    response.counters.Add("join.index_cache_hit", 1);
+    CLOUDJOIN_ASSIGN_OR_RETURN(
+        index, cache_.GetOrBuild<join::BroadcastIndex>(
+                   key, "", build, &response.index_cache_hit));
   } else {
-    std::shared_ptr<std::mutex> flight = kernel_flights_.Get(key);
-    std::lock_guard<std::mutex> flight_lock(*flight);
-    if (options_.enable_cache) {
-      index = cache_.LookupAs<join::BroadcastIndex>(key);
-    }
-    if (index != nullptr) {
-      response.index_cache_hit = true;
-      response.counters.Add("join.index_cache_hit", 1);
-    } else {
-      Stopwatch build_watch;
-      std::vector<join::IdGeometry> records = right_loader();
-      // Never hand the caller's pool to an in-service build: the pool's
-      // Wait() is global and would synchronize with unrelated queries.
-      join::PrepareOptions prepare = request.prepare;
-      prepare.pool = nullptr;
-      auto built = std::make_shared<const join::BroadcastIndex>(
-          std::move(records), request.predicate.FilterRadius(), prepare);
-      response.build_seconds = build_watch.ElapsedSeconds();
-      if (options_.enable_cache) {
-        cache_.Insert(key, "", built->MemoryBytes(), built);
-      }
-      index = built;
-    }
+    CLOUDJOIN_ASSIGN_OR_RETURN(index, build());
+  }
+  if (response.index_cache_hit) {
+    response.counters.Add("join.index_cache_hit", 1);
   }
 
   Stopwatch probe_watch;

@@ -24,7 +24,6 @@
 #include "join/table_input.h"
 #include "server/admission_controller.h"
 #include "server/broadcast_index_cache.h"
-#include "server/keyed_mutex.h"
 
 namespace cloudjoin::server {
 
@@ -243,8 +242,6 @@ class QueryService {
   BroadcastIndexCache cache_;
   ThreadPool pool_;
   std::unique_ptr<CachingProvider> provider_;
-  /// Single-flight locks for bypass-path index builds.
-  KeyedMutex kernel_flights_;
 
   /// Guards the catalog: queries shared, RegisterTable exclusive.
   std::shared_mutex catalog_mu_;

@@ -31,37 +31,11 @@ exec::SpatialPredicate ToPredicate(const impala::SpatialJoinSpec& spec) {
 
 }  // namespace
 
-Result<std::shared_ptr<const exec::BuiltRight>> CachedRightResolver::GetOrBuild(
-    const std::string& key, const std::string& table, const Builder& build,
-    bool* cache_hit) {
-  if (cache_ == nullptr) {
-    *cache_hit = false;
-    return build();
-  }
-  if (auto hit = cache_->LookupAs<const exec::BuiltRight>(key)) {
-    *cache_hit = true;
-    return hit;
-  }
-  // Single flight: the first miss builds; concurrent misses on the same
-  // key wait here, then find the inserted entry.
-  std::shared_ptr<std::mutex> flight = flights_.Get(key);
-  std::lock_guard<std::mutex> flight_lock(*flight);
-  if (auto hit = cache_->LookupAs<const exec::BuiltRight>(key)) {
-    *cache_hit = true;
-    return hit;
-  }
-  std::shared_ptr<const exec::BuiltRight> built;
-  CLOUDJOIN_ASSIGN_OR_RETURN(built, build());
-  cache_->Insert(key, table, built->MemoryBytes(), built);
-  *cache_hit = false;
-  return built;
-}
-
 ContinuousQueryRegistry::ContinuousQueryRegistry(server::QueryService* service,
                                                  dfs::SimFileSystem* fs)
     : service_(service),
       fs_(fs),
-      resolver_(service->options().enable_cache ? service->cache() : nullptr) {}
+      cache_(service->options().enable_cache ? service->cache() : nullptr) {}
 
 Result<int64_t> ContinuousQueryRegistry::Register(
     const std::string& sql, const StreamQueryOptions& options,
@@ -179,20 +153,23 @@ ContinuousQueryRegistry::ResolveRight(const Query& query, bool* cache_hit) {
       "stream|" + query.right_table + "|gen=" + std::to_string(generation) +
       "|geom=" + std::to_string(query.right_input.geometry_column) + "|" +
       query.predicate.ToString() + "|" + query.options.prepare.Fingerprint();
-  return resolver_.GetOrBuild(
-      key, query.right_table,
-      [&]() -> Result<std::shared_ptr<const exec::BuiltRight>> {
-        const dfs::SimFile* file;
-        CLOUDJOIN_ASSIGN_OR_RETURN(file, fs_->GetFile(query.right_input.path));
-        exec::BuiltRight built;
-        CLOUDJOIN_ASSIGN_OR_RETURN(
-            built, exec::BuildRightFromTable(
-                       *file, query.right_input, query.predicate.FilterRadius(),
-                       query.options.prepare, &counters_));
-        return std::shared_ptr<const exec::BuiltRight>(
-            std::make_shared<exec::BuiltRight>(std::move(built)));
-      },
-      cache_hit);
+  auto build = [&]() -> Result<std::shared_ptr<const exec::BuiltRight>> {
+    const dfs::SimFile* file;
+    CLOUDJOIN_ASSIGN_OR_RETURN(file, fs_->GetFile(query.right_input.path));
+    exec::BuiltRight built;
+    CLOUDJOIN_ASSIGN_OR_RETURN(
+        built, exec::BuildRightFromTable(
+                   *file, query.right_input, query.predicate.FilterRadius(),
+                   query.options.prepare, &counters_));
+    return std::shared_ptr<const exec::BuiltRight>(
+        std::make_shared<exec::BuiltRight>(std::move(built)));
+  };
+  if (cache_ == nullptr) {
+    *cache_hit = false;
+    return build();
+  }
+  return cache_->GetOrBuild<exec::BuiltRight>(key, query.right_table, build,
+                                              cache_hit);
 }
 
 void ContinuousQueryRegistry::OnClosedWindow(Query& query,

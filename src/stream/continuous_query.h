@@ -18,7 +18,6 @@
 #include "exec/spatial_predicate.h"
 #include "exec/table_input.h"
 #include "index/probe_options.h"
-#include "server/keyed_mutex.h"
 #include "server/query_service.h"
 #include "stream/stream_event.h"
 #include "stream/stream_source.h"
@@ -84,32 +83,6 @@ struct StreamStats {
   Counters counters;
   LatencyHistogram::Snapshot window_probe_latency;
   std::string ToString() const;
-};
-
-/// Resolves the broadcast right side of a continuous query through the
-/// service's BroadcastIndexCache under a "stream|" key namespace, with
-/// single-flight deduplication of concurrent builds (same KeyedMutex
-/// primitive as the SQL provider). A null cache disables caching (every
-/// call builds) without changing results.
-class CachedRightResolver {
- public:
-  using Builder =
-      std::function<Result<std::shared_ptr<const exec::BuiltRight>>()>;
-
-  explicit CachedRightResolver(server::BroadcastIndexCache* cache)
-      : cache_(cache) {}
-
-  /// Returns the cached artifact for `key`, or builds it via `build` —
-  /// once per key across concurrent callers — and inserts it linked to
-  /// `table` (so InvalidateTable(table) reaps it). `*cache_hit` reports
-  /// which path served.
-  Result<std::shared_ptr<const exec::BuiltRight>> GetOrBuild(
-      const std::string& key, const std::string& table, const Builder& build,
-      bool* cache_hit);
-
- private:
-  server::BroadcastIndexCache* cache_;
-  server::KeyedMutex flights_;
 };
 
 /// The streaming face of the serving layer: standing `SELECT ... SPATIAL
@@ -183,7 +156,9 @@ class ContinuousQueryRegistry {
 
   server::QueryService* service_;
   dfs::SimFileSystem* fs_;
-  CachedRightResolver resolver_;
+  // The service's cache, or null when the service runs without one (every
+  // window then builds its right side).
+  server::BroadcastIndexCache* cache_;
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Query>> queries_;

@@ -10,8 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/result.h"
 #include "exec/built_right.h"
-#include "stream/continuous_query.h"
 
 namespace cloudjoin::server {
 namespace {
@@ -105,17 +105,91 @@ TEST(BroadcastIndexCacheTest, ClearEmptiesEverything) {
   EXPECT_EQ(stats.invalidations, 16);
 }
 
+/// A GetOrBuild builder returning the given artifact, counting calls.
+std::function<Result<std::shared_ptr<const exec::BuiltRight>>()> Builder(
+    std::shared_ptr<const exec::BuiltRight> built, std::atomic<int>* builds) {
+  return [built, builds]() {
+    ++*builds;
+    return Result<std::shared_ptr<const exec::BuiltRight>>(built);
+  };
+}
+
+TEST(BroadcastIndexCacheTest, GetOrBuildCachesAndSingleFlightsConcurrentBuilds) {
+  BroadcastIndexCache cache({/*capacity_bytes=*/1 << 20, /*num_shards=*/1});
+  auto built = std::make_shared<const exec::BuiltRight>();
+  std::atomic<int> builds{0};
+  const auto builder = Builder(built, &builds);
+
+  // Many threads race the same key: the key's build lock plus the
+  // re-lookup under it must collapse them into a single build.
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 8; ++i) {
+    threads.emplace_back([&]() {
+      bool hit = false;
+      auto result =
+          cache.GetOrBuild<exec::BuiltRight>("k", "t", builder, &hit);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result.value().get(), built.get());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(builds.load(), 1);
+
+  bool hit = false;
+  ASSERT_TRUE(cache.GetOrBuild<exec::BuiltRight>("k", "t", builder, &hit).ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(builds.load(), 1);
+
+  // Invalidation reaps by table: the next resolve rebuilds.
+  EXPECT_EQ(cache.InvalidateTable("t"), 1);
+  ASSERT_TRUE(cache.GetOrBuild<exec::BuiltRight>("k", "t", builder, &hit).ok());
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(builds.load(), 2);
+}
+
+TEST(BroadcastIndexCacheTest, GetOrBuildDropsEachKeysBuildLock) {
+  // Every re-registration of a table mints a new generation-fenced key;
+  // the build lock of each key must go once its build is done, or the
+  // service keeps one per key for its whole life.
+  BroadcastIndexCache cache({/*capacity_bytes=*/1 << 20, /*num_shards=*/2});
+  auto built = std::make_shared<const exec::BuiltRight>();
+  std::atomic<int> builds{0};
+  const auto builder = Builder(built, &builds);
+  for (int gen = 0; gen < 100; ++gen) {
+    bool hit = true;
+    ASSERT_TRUE(cache
+                    .GetOrBuild<exec::BuiltRight>(
+                        "stream|t|gen=" + std::to_string(gen), "t", builder,
+                        &hit)
+                    .ok());
+    EXPECT_FALSE(hit);
+  }
+  EXPECT_EQ(builds.load(), 100);
+  EXPECT_EQ(cache.NumBuildLocks(), 0);
+
+  // A failed build caches nothing and releases its lock too.
+  bool hit = true;
+  auto failed = cache.GetOrBuild<exec::BuiltRight>(
+      "bad", "t",
+      []() -> Result<std::shared_ptr<const exec::BuiltRight>> {
+        return Status::NotFound("gone");
+      },
+      &hit);
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(cache.Lookup("bad"), nullptr);
+  EXPECT_EQ(cache.NumBuildLocks(), 0);
+}
+
 /// InvalidateTable landing in the middle of a single-flight build: the
 /// builder is gated on a promise (no sleeps — every ordering below is
 /// forced, in the spirit of the fake-clock admission tests), the
 /// invalidation runs while the build is provably in flight, and the build
 /// then completes and inserts. The stale artifact may linger under its
 /// OLD generation-fenced key — that is the documented benign race — but a
-/// resolver keyed on the table's new generation never serves it, and a
+/// caller keyed on the table's new generation never serves it, and a
 /// second invalidation reaps it.
 TEST(BroadcastIndexCacheTest, InvalidateTableRacingSingleFlightBuild) {
   BroadcastIndexCache cache({/*capacity_bytes=*/1 << 20, /*num_shards=*/1});
-  stream::CachedRightResolver resolver(&cache);
 
   auto stale = std::make_shared<const exec::BuiltRight>();
   auto fresh = std::make_shared<const exec::BuiltRight>();
@@ -131,7 +205,7 @@ TEST(BroadcastIndexCacheTest, InvalidateTableRacingSingleFlightBuild) {
 
   std::thread racer([&]() {
     bool hit = true;
-    auto result = resolver.GetOrBuild(
+    auto result = cache.GetOrBuild<exec::BuiltRight>(
         old_key, "t",
         [&]() {
           ++builds;
@@ -157,7 +231,7 @@ TEST(BroadcastIndexCacheTest, InvalidateTableRacingSingleFlightBuild) {
   EXPECT_NE(cache.Lookup(old_key), nullptr);
 
   bool hit = true;
-  auto rebuilt = resolver.GetOrBuild(
+  auto rebuilt = cache.GetOrBuild<exec::BuiltRight>(
       new_key, "t",
       [&]() {
         ++builds;

@@ -414,63 +414,6 @@ TEST(TableReplaySourceTest, ReplaysRowsInOrderAtConfiguredRate) {
 }
 
 // ---------------------------------------------------------------------------
-// CachedRightResolver
-
-TEST(CachedRightResolverTest, NullCacheBuildsEveryCall) {
-  CachedRightResolver resolver(nullptr);
-  auto built = std::make_shared<const exec::BuiltRight>();
-  int builds = 0;
-  const CachedRightResolver::Builder builder = [&]() {
-    ++builds;
-    return Result<std::shared_ptr<const exec::BuiltRight>>(built);
-  };
-
-  bool hit = true;
-  ASSERT_TRUE(resolver.GetOrBuild("k", "t", builder, &hit).ok());
-  EXPECT_FALSE(hit);
-  ASSERT_TRUE(resolver.GetOrBuild("k", "t", builder, &hit).ok());
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(builds, 2);
-}
-
-TEST(CachedRightResolverTest, CachesAndSingleFlightsConcurrentBuilds) {
-  server::BroadcastIndexCache cache(
-      {/*capacity_bytes=*/1 << 20, /*num_shards=*/1});
-  CachedRightResolver resolver(&cache);
-  auto built = std::make_shared<const exec::BuiltRight>();
-  std::atomic<int> builds{0};
-  const CachedRightResolver::Builder builder = [&]() {
-    ++builds;
-    return Result<std::shared_ptr<const exec::BuiltRight>>(built);
-  };
-
-  // Many threads race the same key: the flight mutex plus the re-lookup
-  // under it must collapse them into a single build.
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 8; ++i) {
-    threads.emplace_back([&]() {
-      bool hit = false;
-      auto result = resolver.GetOrBuild("k", "t", builder, &hit);
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(result.value().get(), built.get());
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(builds.load(), 1);
-
-  bool hit = false;
-  ASSERT_TRUE(resolver.GetOrBuild("k", "t", builder, &hit).ok());
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(builds.load(), 1);
-
-  // Invalidation reaps by table: the next resolve rebuilds.
-  EXPECT_EQ(cache.InvalidateTable("t"), 1);
-  ASSERT_TRUE(resolver.GetOrBuild("k", "t", builder, &hit).ok());
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(builds.load(), 2);
-}
-
-// ---------------------------------------------------------------------------
 // ContinuousQueryRegistry end-to-end
 
 class RegistryTest : public ::testing::Test {
@@ -548,6 +491,44 @@ TEST_F(RegistryTest, WindowedJoinMatchesHandComputedPairs) {
   EXPECT_EQ(stats.counters.Get(counter::kPairsEmitted), 3);
   EXPECT_EQ(stats.counters.Get(counter::kRightCacheHits), 1);
   EXPECT_EQ(stats.window_probe_latency.count, 2);
+}
+
+TEST_F(RegistryTest, DisabledCacheBuildsEveryWindow) {
+  // A service without a cache: every fired window builds its right side
+  // (never a cache hit), and the pairs are the cached run's.
+  server::ServiceOptions options;
+  options.num_threads = 1;
+  options.enable_cache = false;
+  server::QueryService service(&fs_, options);
+  join::TableInput left;
+  left.path = "/t/left.tbl";
+  join::TableInput right;
+  right.path = "/t/right.tbl";
+  ASSERT_TRUE(service.RegisterTable("lt", left).ok());
+  ASSERT_TRUE(service.RegisterTable("rt", right).ok());
+  ContinuousQueryRegistry registry(&service, &fs_);
+  std::vector<WindowResult> results;
+  auto id = registry.Register(WithinSql(), TumblingOptions(10),
+                              [&](const WindowResult& result) {
+                                ASSERT_TRUE(result.status.ok())
+                                    << result.status;
+                                results.push_back(result);
+                              });
+  ASSERT_TRUE(id.ok()) << id.status();
+  registry.Ingest(Event(100, 1, "POINT (5 5)"));
+  registry.Ingest(Event(103, 14, "POINT (2 2)"));
+  registry.Flush();
+
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].pairs, (std::vector<IdPair>{{100, 1}}));
+  EXPECT_EQ(results[1].pairs, (std::vector<IdPair>{{103, 1}}));
+  for (const WindowResult& result : results) {
+    EXPECT_FALSE(result.right_cache_hit);
+  }
+  StreamStats stats = registry.GetStats();
+  EXPECT_EQ(stats.counters.Get(counter::kRightCacheHits), 0);
+  EXPECT_EQ(stats.counters.Get(counter::kRightCacheMisses), 2);
+  EXPECT_EQ(service.cache()->GetStats().entries, 0);
 }
 
 TEST_F(RegistryTest, IncrementalAndRebuildModesAgree) {
