@@ -66,6 +66,14 @@
 #      src/ only under src/index/ and in the driver's header. An engine
 #      calling either directly is a second probe loop whose counters drift
 #      from the others.
+#
+# Every partitioned join withdraws replicated candidates through the one
+# per-tile step, exec::RunTileProbes, before refinement:
+#
+#  10. SpatialPartitioner::OwnerTileOf may appear in src/ only under
+#      src/index/ and src/exec/ (comments included). An engine running its
+#      own owner test is a second dedup whose counts drift from the
+#      broadcast probe's.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -122,7 +130,11 @@ check "probe loop outside the driver" \
   "RunBatchedProbes\|MightIntersect" \
   "^src/(index/|exec/probe_driver\.h)"
 
+check "owner-tile dedup outside the tiled probe" \
+  "OwnerTileOf" \
+  "^src/(index/|exec/)"
+
 if [ "$fail" -eq 0 ]; then
-  echo "check_no_dup_scan: OK (one scan loop, one parse entry point, one probe driver)"
+  echo "check_no_dup_scan: OK (one scan loop, one parse entry point, one probe driver, one tiled probe)"
 fi
 exit "$fail"
