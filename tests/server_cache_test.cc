@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <future>
 #include <memory>
 #include <random>
