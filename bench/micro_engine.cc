@@ -138,8 +138,8 @@ void Run(const Flags& flags) {
           w->name.c_str(), prepared_seconds, pairs.size(),
           static_cast<long long>(index.num_prepared()),
           index.prepare_seconds(),
-          static_cast<long long>(stats.refine.boundary_fallbacks),
-          static_cast<long long>(stats.refine.prepared_hits));
+          static_cast<long long>(stats.Get(exec::Stat::kBoundaryFallbacks)),
+          static_cast<long long>(stats.Get(exec::Stat::kPreparedHits)));
       if (prepared_flag == -1) {
         CLOUDJOIN_CHECK(pairs.size() == exact_pairs)
             << "prepared refinement changed the result";

@@ -52,7 +52,7 @@ class BroadcastIndex {
         [&](int64_t i, int64_t slot) {
           return refiner_.Refine(probes[static_cast<size_t>(i)].geometry,
                                  static_cast<size_t>(slot), predicate,
-                                 &stats->refine);
+                                 stats);
         },
         [&](int64_t i, int64_t slot) {
           emit(i, IdPair(probes[static_cast<size_t>(i)].id,

@@ -1,6 +1,9 @@
 #ifndef CLOUDJOIN_EXEC_COUNTER_NAMES_H_
 #define CLOUDJOIN_EXEC_COUNTER_NAMES_H_
 
+#include <cstddef>
+#include <iterator>
+
 namespace cloudjoin::exec::counter {
 
 /// The shared join counter taxonomy, emitted by the exec core so every
@@ -19,6 +22,9 @@ inline constexpr char kLeftBadGeom[] = "join.left_bad_geom";
 /// many of them carry a prepared grid.
 inline constexpr char kRightRows[] = "join.right_rows";
 inline constexpr char kPreparedRecords[] = "join.prepared_records";
+/// Microseconds SpatialSpark spent preparing grids (a timer kept as an
+/// integer counter).
+inline constexpr char kPrepareMicros[] = "join.prepare_micros";
 
 /// Probe accounting: filter candidates, refinement matches, prepared-grid
 /// usage, and the columnar filter phase.
@@ -33,6 +39,11 @@ inline constexpr char kFilterSimdLanes[] = "join.filter_simd_lanes_used";
 /// A WKT string that parsed during the build/probe scan but failed to
 /// re-parse inside GEOS-role refinement. Previously a silent drop.
 inline constexpr char kRefineParseError[] = "join.refine_parse_error";
+
+/// Impala's join nodes: candidate pairs the spatial join refined, and
+/// pairs the cross join evaluated.
+inline constexpr char kRefinements[] = "join.refinements";
+inline constexpr char kPairs[] = "join.pairs";
 
 /// Serving layer: a retained right-side build was reused.
 inline constexpr char kIndexCacheHit[] = "join.index_cache_hit";
@@ -49,6 +60,11 @@ inline constexpr char kHotTilesSplit[] = "join.hot_tiles_split";
 inline constexpr char kPlanStrategyBroadcast[] = "plan.strategy_broadcast";
 inline constexpr char kPlanStrategyPartitioned[] = "plan.strategy_partitioned";
 
+/// Impala's text scan: lines read, and lines that did not split into the
+/// table's typed columns.
+inline constexpr char kScanLines[] = "scan.lines";
+inline constexpr char kScanMalformed[] = "scan.malformed";
+
 /// Columnar scan accounting (text scans have no block structure and do
 /// not emit these): blocks whose zone-map was tested, blocks skipped
 /// entirely by the zone-map, rows whose envelopes entered the filter
@@ -60,5 +76,51 @@ inline constexpr char kScanRowsScanned[] = "scan.rows_scanned";
 inline constexpr char kScanRowsMaterialized[] = "scan.rows_materialized";
 
 }  // namespace cloudjoin::exec::counter
+
+namespace cloudjoin::exec {
+
+/// The slots of the one probe and scan stats record, exec::ProbeStats:
+/// every count an exec node, scanner or refiner takes per row, candidate
+/// or batch. kStatNames gives each slot its counter name.
+enum class Stat {
+  kCandidates,
+  kMatches,
+  kPreparedHits,
+  kBoundaryFallbacks,
+  kRefineParseError,
+  kFilterBatches,
+  kFilterCandidates,
+  kFilterSimdLanes,
+  kSfilterSkipped,
+  kLeftMalformed,
+  kLeftBadGeom,
+  kRefinements,
+  kPairs,
+  kScanLines,
+  kScanMalformed,
+  kScanBlocksTotal,
+  kScanBlocksPruned,
+  kScanRowsScanned,
+  kScanRowsMaterialized,
+};
+
+/// Counter name of each Stat, in enum order.
+inline constexpr const char* kStatNames[] = {
+    counter::kCandidates,        counter::kMatches,
+    counter::kPreparedHits,      counter::kBoundaryFallbacks,
+    counter::kRefineParseError,  counter::kFilterBatches,
+    counter::kFilterCandidates,  counter::kFilterSimdLanes,
+    counter::kSfilterSkipped,    counter::kLeftMalformed,
+    counter::kLeftBadGeom,       counter::kRefinements,
+    counter::kPairs,             counter::kScanLines,
+    counter::kScanMalformed,     counter::kScanBlocksTotal,
+    counter::kScanBlocksPruned,  counter::kScanRowsScanned,
+    counter::kScanRowsMaterialized,
+};
+inline constexpr size_t kNumStats = std::size(kStatNames);
+static_assert(static_cast<size_t>(Stat::kScanRowsMaterialized) + 1 ==
+              kNumStats);
+
+}  // namespace cloudjoin::exec
 
 #endif  // CLOUDJOIN_EXEC_COUNTER_NAMES_H_

@@ -68,9 +68,9 @@ void RunProbes(int64_t n, const index::StrTree& tree,
           const int64_t probe = probe_of(i);
           const std::optional<bool> match = refine(probe, slot);
           if (!match.has_value()) return;
-          ++stats->candidates;
+          stats->Add(Stat::kCandidates);
           if (!*match) return;
-          ++stats->matches;
+          stats->Add(Stat::kMatches);
           emit(probe, slot);
         },
         &filter_stats);
@@ -78,8 +78,10 @@ void RunProbes(int64_t n, const index::StrTree& tree,
   if (options.sfilter && sfilter != nullptr) {
     std::vector<int64_t> survivors;
     survivors.reserve(static_cast<size_t>(n));
-    stats->sfilter_skipped += ForEachSFilterSurvivor(
-        n, sfilter, envelope_at, [&](int64_t i) { survivors.push_back(i); });
+    stats->Add(Stat::kSfilterSkipped,
+               ForEachSFilterSurvivor(n, sfilter, envelope_at, [&](int64_t i) {
+                 survivors.push_back(i);
+               }));
     run(static_cast<int64_t>(survivors.size()),
         [&](int64_t i) { return survivors[static_cast<size_t>(i)]; });
   } else {
@@ -147,12 +149,14 @@ void RunTiledProbes(int64_t n, const TiledRight& tiled,
   const index::SpatialPartitioner& partitioner = tiled.partitioner();
   std::vector<std::vector<int64_t>> tile_probes(
       static_cast<size_t>(tiled.num_tiles()));
-  stats->sfilter_skipped += ForEachSFilterSurvivor(
-      n, options.sfilter ? sfilter : nullptr, envelope_at, [&](int64_t i) {
-        for (int t : partitioner.TilesFor(envelope_at(i))) {
-          tile_probes[static_cast<size_t>(t)].push_back(i);
-        }
-      });
+  stats->Add(Stat::kSfilterSkipped,
+             ForEachSFilterSurvivor(
+                 n, options.sfilter ? sfilter : nullptr, envelope_at,
+                 [&](int64_t i) {
+                   for (int t : partitioner.TilesFor(envelope_at(i))) {
+                     tile_probes[static_cast<size_t>(t)].push_back(i);
+                   }
+                 }));
   for (int t = 0; t < tiled.num_tiles(); ++t) {
     const std::vector<int64_t>& probes = tile_probes[static_cast<size_t>(t)];
     if (probes.empty() || tiled.tree(t).num_entries() == 0) continue;

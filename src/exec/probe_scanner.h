@@ -107,7 +107,7 @@ void RunGeosProbes(int64_t count, GetGeom&& get_geom, GetWkt&& get_wkt,
       },
       [&](int64_t i, int64_t slot) {
         return refiner.Refine(get_geom(i), get_wkt(i),
-                              static_cast<size_t>(slot), &stats->refine);
+                              static_cast<size_t>(slot), stats);
       },
       [&](int64_t i, int64_t slot) {
         emit(IdPair(get_id(i), right.ids[static_cast<size_t>(slot)]));
@@ -208,7 +208,7 @@ Status RunColumnarGeosProbes(const dfs::ColumnarTableReader& reader,
           }
           if (geoms[s] == nullptr) return std::nullopt;
           return refiner.Refine(*geoms[s], wkt[s], static_cast<size_t>(slot),
-                                &stats->refine);
+                                stats);
         },
         [&](int64_t i, int64_t slot) {
           emit(IdPair(block.ids[static_cast<size_t>(i)],

@@ -1,70 +1,46 @@
 #ifndef CLOUDJOIN_EXEC_PROBE_STATS_H_
 #define CLOUDJOIN_EXEC_PROBE_STATS_H_
 
+#include <array>
 #include <cstdint>
 
 #include "common/counters.h"
+#include "exec/counter_names.h"
 #include "index/batch_prober.h"
 
 namespace cloudjoin::exec {
 
-/// Refinement-side statistics, accumulated locally by a Refiner and
-/// flushed to a `Counters` once — keeps the mutex off the probe hot path.
-struct RefineStats {
-  /// Candidates refined through a prepared grid instead of the exact test.
-  int64_t prepared_hits = 0;
-  /// Prepared refinements that landed in a boundary cell and fell back to
-  /// the exact ray-crossing test.
-  int64_t boundary_fallbacks = 0;
-  /// GEOS-role refinements whose WKT re-parse failed (previously a silent
-  /// drop; see counter::kRefineParseError).
-  int64_t refine_parse_errors = 0;
-
-  void MergeFrom(const RefineStats& other) {
-    prepared_hits += other.prepared_hits;
-    boundary_fallbacks += other.boundary_fallbacks;
-    refine_parse_errors += other.refine_parse_errors;
+/// The one stats record of the probe and scan paths: one int64_t slot per
+/// exec::Stat. Every exec node, scanner and refiner counts into a local
+/// record and flushes it once into the `Counters` it was handed, which
+/// keeps the counter map's mutex off the per-row path.
+class ProbeStats {
+ public:
+  void Add(Stat stat, int64_t delta = 1) {
+    slots_[static_cast<size_t>(stat)] += delta;
   }
-
-  /// Adds the non-zero fields to `counters` (no-op on nullptr).
-  void FlushTo(Counters* counters) const;
-};
-
-/// Per-probe (or per-batch) probe statistics: filter candidates, matches,
-/// refinement detail, and the columnar filter phase.
-struct ProbeStats {
-  int64_t candidates = 0;
-  int64_t matches = 0;
-  RefineStats refine;
-  /// Columnar filter phase: EnvelopeBatches processed, candidates the
-  /// batch kernel emitted, and SIMD lanes the explicit kernel tested
-  /// (0 on the scalar / per-record paths).
-  int64_t filter_batches = 0;
-  int64_t filter_candidates = 0;
-  int64_t filter_simd_lanes = 0;
-  /// Probes dropped by the sFilter membership bitmap before batch descent
-  /// (each had provably zero candidates).
-  int64_t sfilter_skipped = 0;
+  int64_t Get(Stat stat) const { return slots_[static_cast<size_t>(stat)]; }
 
   void MergeFrom(const ProbeStats& other) {
-    candidates += other.candidates;
-    matches += other.matches;
-    refine.MergeFrom(other.refine);
-    filter_batches += other.filter_batches;
-    filter_candidates += other.filter_candidates;
-    filter_simd_lanes += other.filter_simd_lanes;
-    sfilter_skipped += other.sfilter_skipped;
+    for (size_t i = 0; i < kNumStats; ++i) slots_[i] += other.slots_[i];
   }
 
   void AddFilter(const index::BatchStats& filter) {
-    filter_batches += filter.batches;
-    filter_candidates += filter.candidates;
-    filter_simd_lanes += filter.simd_lanes;
+    Add(Stat::kFilterBatches, filter.batches);
+    Add(Stat::kFilterCandidates, filter.candidates);
+    Add(Stat::kFilterSimdLanes, filter.simd_lanes);
   }
 
-  /// Adds the non-zero fields to `counters` (no-op on nullptr).
+  /// Adds the non-zero slots to `counters` under their kStatNames (no-op
+  /// on nullptr).
   void FlushTo(Counters* counters) const;
+
+ private:
+  std::array<int64_t, kNumStats> slots_{};
 };
+
+/// The refiners' statistics are the same record (the former name).
+using RefineStats = ProbeStats;
 
 }  // namespace cloudjoin::exec
 

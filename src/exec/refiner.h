@@ -57,10 +57,10 @@ inline bool RefineGeosPair(const geosim::Geometry& left,
 /// GEOS-role refinement straight from WKT: parses BOTH sides per call —
 /// the paper's per-pair allocation churn (ISP-MC's refine UDF re-parses
 /// its arguments on every invocation). A WKT that fails to re-parse is a
-/// non-match, counted in `stats->refine_parse_errors` (non-null `stats`;
+/// non-match, counted in Stat::kRefineParseError (non-null `stats`;
 /// this was a silent drop before the exec layer).
 bool RefineGeosWkt(const std::string& left_wkt, const std::string& right_wkt,
-                   const SpatialPredicate& predicate, RefineStats* stats);
+                   const SpatialPredicate& predicate, ProbeStats* stats);
 
 /// Flat-kernel (JTS-role) refiner over an indexed right side: prepared
 /// grid point-in-polygon when available for kWithin point probes, exact
@@ -74,15 +74,15 @@ class JtsRefiner {
 
   /// Refines `probe` against right slot `slot`. `stats` must be non-null.
   bool Refine(const geom::Geometry& probe, size_t slot,
-              const SpatialPredicate& predicate, RefineStats* stats) const {
+              const SpatialPredicate& predicate, ProbeStats* stats) const {
     if (!prepared_->empty() && predicate.op == SpatialOperator::kWithin &&
         probe.type() == geom::GeometryType::kPoint && !probe.IsEmpty()) {
       const geom::PreparedPolygon* prep = (*prepared_)[slot].get();
       if (prep != nullptr) {
-        ++stats->prepared_hits;
+        stats->Add(Stat::kPreparedHits);
         bool fallback = false;
         bool contained = prep->Contains(probe.FirstPoint(), &fallback);
-        if (fallback) ++stats->boundary_fallbacks;
+        if (fallback) stats->Add(Stat::kBoundaryFallbacks);
         return contained;
       }
     }
@@ -106,7 +106,7 @@ class GeosRefiner {
   /// stores the containment verdict in `*match` and returns true; the
   /// caller skips its own (UDF / cached-geometry / WKT) refinement.
   bool TryPrepared(const geosim::Geometry& left_geom, size_t slot,
-                   RefineStats* stats, bool* match) const {
+                   ProbeStats* stats, bool* match) const {
     if (right_->prepared.empty() ||
         predicate_->op != SpatialOperator::kWithin ||
         left_geom.getGeometryTypeId() != geosim::GeometryTypeId::kPoint) {
@@ -114,19 +114,19 @@ class GeosRefiner {
     }
     const geom::PreparedPolygon* prep = right_->prepared[slot].get();
     if (prep == nullptr) return false;
-    ++stats->prepared_hits;
+    stats->Add(Stat::kPreparedHits);
     const auto* point = static_cast<const geosim::PointImpl*>(&left_geom);
     bool fallback = false;
     *match = prep->Contains(geom::Point{point->getX(), point->getY()},
                             &fallback);
-    if (fallback) ++stats->boundary_fallbacks;
+    if (fallback) stats->Add(Stat::kBoundaryFallbacks);
     return true;
   }
 
   /// Full refinement of one candidate: prepared fast path, else per-pair
   /// WKT re-parse through the GEOS-role kernel.
   bool Refine(const geosim::Geometry& left_geom, const std::string& left_wkt,
-              size_t slot, RefineStats* stats) const {
+              size_t slot, ProbeStats* stats) const {
     bool match = false;
     if (TryPrepared(left_geom, slot, stats, &match)) return match;
     return RefineGeosWkt(left_wkt, right_->wkt[slot], *predicate_, stats);

@@ -51,7 +51,7 @@ class SpatialRefinery {
   /// right geometry slot changes per candidate.
   bool Refine(int64_t p, const std::string& left_wkt,
               const geosim::Geometry& left_geom, size_t id,
-              core::RefineStats* stats) {
+              core::ProbeStats* stats) {
     if (!cache_parsed_ && p != current_probe_) {
       current_probe_ = p;
       udf_args_.resize(has_distance_ ? 3 : 2);
@@ -502,7 +502,7 @@ void SpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
   auto refine = [&](int64_t i, int64_t row) {
     const size_t p = static_cast<size_t>(i);
     return refinery.Refine(i, *probe_wkt_[p], *probe_geoms_[p],
-                           static_cast<size_t>(row), &stats.refine);
+                           static_cast<size_t>(row), &stats);
   };
   auto emit = [&](int64_t i, int64_t row) {
     EmitJoinRow(*probe_rows_[static_cast<size_t>(i)],

@@ -35,7 +35,7 @@ std::vector<IdPair> PartitionedSpatialJoin(const std::vector<IdGeometry>& left,
       [&](int64_t i, int64_t row) {
         return refiner.Refine(left[static_cast<size_t>(i)].geometry,
                               static_cast<size_t>(row), predicate,
-                              &stats.refine);
+                              &stats);
       },
       [&](int64_t i, int64_t row) {
         out.emplace_back(left[static_cast<size_t>(i)].id,

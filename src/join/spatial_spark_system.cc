@@ -264,7 +264,7 @@ Result<SparkJoinRun> SpatialSparkSystem::PartitionedJoin(
         [&](int64_t i, int64_t slot) {
           return refiner.Refine(left_local[static_cast<size_t>(i)].geometry,
                                 static_cast<size_t>(slot), predicate,
-                                &probe_stats.refine);
+                                &probe_stats);
         },
         [&](int64_t i, int64_t slot) {
           out->emplace_back(left_local[static_cast<size_t>(i)].id,

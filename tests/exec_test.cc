@@ -200,13 +200,13 @@ TEST(BuiltRightTest, MemoryBytesCoversComponentSum) {
 }
 
 TEST(RefinerTest, BadWktInRefinementIsCountedNotSilent) {
-  RefineStats stats;
+  ProbeStats stats;
   EXPECT_FALSE(RefineGeosWkt("POINT (1 1)", "POLYGON ((not wkt",
                              SpatialPredicate::Within(), &stats));
-  EXPECT_EQ(stats.refine_parse_errors, 1);
+  EXPECT_EQ(stats.Get(Stat::kRefineParseError), 1);
   EXPECT_FALSE(RefineGeosWkt("garbage", "POINT (1 1)",
                              SpatialPredicate::Intersects(), &stats));
-  EXPECT_EQ(stats.refine_parse_errors, 2);
+  EXPECT_EQ(stats.Get(Stat::kRefineParseError), 2);
 
   Counters counters;
   stats.FlushTo(&counters);
@@ -232,21 +232,21 @@ TEST(RefinerTest, JtsAndGeosKernelsAgreeOnDifferentialCorpus) {
         const bool has_empty = l.geometry.IsEmpty() || r.geometry.IsEmpty();
         for (const SpatialPredicate& predicate : predicates) {
           const bool jts = RefineGeomPair(l.geometry, r.geometry, predicate);
-          RefineStats stats;
+          ProbeStats stats;
           const bool geos =
               RefineGeosWkt(left_wkt, right_wkt, predicate, &stats);
           if (has_empty) {
             // EMPTY WKT is a parse error in the GEOS-role reader (counted,
             // treated as non-match); the flat kernel must agree it cannot
             // match, or the drop would change join output.
-            ASSERT_EQ(stats.refine_parse_errors, 1)
+            ASSERT_EQ(stats.Get(Stat::kRefineParseError), 1)
                 << left_wkt << " / " << right_wkt;
             ASSERT_FALSE(geos);
             ASSERT_FALSE(jts)
                 << "seed=" << seed << " predicate=" << predicate.ToString()
                 << "\n  left=" << left_wkt << "\n  right=" << right_wkt;
           } else {
-            ASSERT_EQ(stats.refine_parse_errors, 0)
+            ASSERT_EQ(stats.Get(Stat::kRefineParseError), 0)
                 << left_wkt << " / " << right_wkt;
             ASSERT_EQ(jts, geos)
                 << "seed=" << seed << " predicate=" << predicate.ToString()
@@ -350,7 +350,7 @@ TEST(ProbeScannerTest, RunGeosProbesMatchesNestedLoopOracle) {
   std::vector<IdPair> oracle;
   for (int64_t i = 0; i < batch.size(); ++i) {
     for (size_t slot = 0; slot < right->wkt.size(); ++slot) {
-      RefineStats scratch;
+      ProbeStats scratch;
       if (RefineGeosWkt(batch.wkt[static_cast<size_t>(i)], right->wkt[slot],
                         predicate, &scratch)) {
         oracle.push_back(
@@ -361,9 +361,10 @@ TEST(ProbeScannerTest, RunGeosProbesMatchesNestedLoopOracle) {
   std::sort(pairs.begin(), pairs.end());
   std::sort(oracle.begin(), oracle.end());
   EXPECT_EQ(pairs, oracle);
-  EXPECT_EQ(stats.matches, static_cast<int64_t>(oracle.size()));
-  EXPECT_GE(stats.candidates, stats.matches);
-  EXPECT_GT(stats.filter_batches, 0);
+  EXPECT_EQ(stats.Get(Stat::kMatches),
+            static_cast<int64_t>(oracle.size()));
+  EXPECT_GE(stats.Get(Stat::kCandidates), stats.Get(Stat::kMatches));
+  EXPECT_GT(stats.Get(Stat::kFilterBatches), 0);
 }
 
 TEST(PrepareOptionsTest, FingerprintCoversResultRelevantKnobsOnly) {
@@ -412,16 +413,16 @@ TEST(GeosRefinerTest, TryPreparedAppliesOnlyToPreparedWithinPointProbes) {
   auto inside = ParseGeosWkt("POINT (10 10)");  // centre of the big ring
   ASSERT_TRUE(inside.ok());
 
-  RefineStats stats;
+  ProbeStats stats;
   bool match = false;
   // Prepared slot + point probe + kWithin: fast path fires and decides.
   EXPECT_TRUE(refiner.TryPrepared(**inside, 0, &stats, &match));
   EXPECT_TRUE(match);
-  EXPECT_EQ(stats.prepared_hits, 1);
+  EXPECT_EQ(stats.Get(Stat::kPreparedHits), 1);
 
   // Unprepared slot: fast path declines, caller refines itself.
   EXPECT_FALSE(refiner.TryPrepared(**inside, 1, &stats, &match));
-  EXPECT_EQ(stats.prepared_hits, 1);
+  EXPECT_EQ(stats.Get(Stat::kPreparedHits), 1);
 
   // Non-point probe: declines even on the prepared slot.
   auto poly_probe = ParseGeosWkt("POLYGON ((9 9, 11 9, 11 11, 9 11, 9 9))");
@@ -432,53 +433,45 @@ TEST(GeosRefinerTest, TryPreparedAppliesOnlyToPreparedWithinPointProbes) {
   const SpatialPredicate nearest = SpatialPredicate::NearestD(1.0);
   const GeosRefiner nearest_refiner(&*right, &nearest);
   EXPECT_FALSE(nearest_refiner.TryPrepared(**inside, 0, &stats, &match));
-  EXPECT_EQ(stats.prepared_hits, 1);
+  EXPECT_EQ(stats.Get(Stat::kPreparedHits), 1);
 
   // Full Refine agrees with the pure WKT path on both slots.
-  RefineStats refine_stats;
+  ProbeStats refine_stats;
   EXPECT_TRUE(refiner.Refine(**inside, "POINT (10 10)", 0, &refine_stats));
   EXPECT_FALSE(refiner.Refine(**inside, "POINT (10 10)", 1, &refine_stats));
 }
 
 TEST(ProbeStatsTest, MergeAndFlushAggregateAllFields) {
+  // Every slot merges by addition and flushes under its own name; a zero
+  // slot is not flushed at all, so a run's counter names stay the ones
+  // it actually counted.
   ProbeStats a;
-  a.candidates = 10;
-  a.matches = 4;
-  a.refine.prepared_hits = 3;
-  a.refine.boundary_fallbacks = 1;
-  a.refine.refine_parse_errors = 2;
-  a.filter_batches = 5;
-
   ProbeStats b;
-  b.candidates = 7;
-  b.matches = 2;
-  b.refine.prepared_hits = 1;
-  index::BatchStats filter;
-  filter.batches = 2;
-  filter.candidates = 9;
-  filter.simd_lanes = 64;
-  b.AddFilter(filter);
-
+  for (size_t i = 0; i < kNumStats; ++i) {
+    a.Add(static_cast<Stat>(i), static_cast<int64_t>(i) + 1);
+    if (i % 2 == 0) b.Add(static_cast<Stat>(i), 100);
+  }
   a.MergeFrom(b);
-  EXPECT_EQ(a.candidates, 17);
-  EXPECT_EQ(a.matches, 6);
-  EXPECT_EQ(a.refine.prepared_hits, 4);
-  EXPECT_EQ(a.refine.boundary_fallbacks, 1);
-  EXPECT_EQ(a.refine.refine_parse_errors, 2);
-  EXPECT_EQ(a.filter_batches, 7);
-  EXPECT_EQ(a.filter_candidates, 9);
-  EXPECT_EQ(a.filter_simd_lanes, 64);
-
   Counters counters;
   a.FlushTo(&counters);
-  EXPECT_EQ(counters.Get(counter::kCandidates), 17);
-  EXPECT_EQ(counters.Get(counter::kMatches), 6);
-  EXPECT_EQ(counters.Get(counter::kPreparedHits), 4);
-  EXPECT_EQ(counters.Get(counter::kBoundaryFallbacks), 1);
-  EXPECT_EQ(counters.Get(counter::kRefineParseError), 2);
-  EXPECT_EQ(counters.Get(counter::kFilterBatches), 7);
-  EXPECT_EQ(counters.Get(counter::kFilterCandidates), 9);
-  EXPECT_EQ(counters.Get(counter::kFilterSimdLanes), 64);
+  EXPECT_EQ(counters.Snapshot().size(), kNumStats);
+  for (size_t i = 0; i < kNumStats; ++i) {
+    const int64_t expected =
+        static_cast<int64_t>(i) + 1 + (i % 2 == 0 ? 100 : 0);
+    EXPECT_EQ(a.Get(static_cast<Stat>(i)), expected) << kStatNames[i];
+    EXPECT_EQ(counters.Get(kStatNames[i]), expected) << kStatNames[i];
+  }
+  EXPECT_STREQ(kStatNames[static_cast<size_t>(Stat::kCandidates)],
+               counter::kCandidates);
+  EXPECT_STREQ(kStatNames[static_cast<size_t>(Stat::kScanRowsMaterialized)],
+               counter::kScanRowsMaterialized);
+
+  Counters only_matches;
+  ProbeStats c;
+  c.Add(Stat::kMatches, 3);
+  c.FlushTo(&only_matches);
+  EXPECT_EQ(only_matches.Snapshot().size(), 1u);
+  EXPECT_EQ(only_matches.Get(counter::kMatches), 3);
   // Flushing to nullptr is the documented no-op.
   a.FlushTo(nullptr);
 }
@@ -589,15 +582,18 @@ TEST(SFilterProbeTest, SkipsEmptyRegionsWithoutChangingResults) {
   // Byte-identical results; the filter only removes provably-empty work.
   EXPECT_EQ(on_pairs, off_pairs);
   EXPECT_FALSE(on_pairs.empty());
-  EXPECT_GT(on_stats.sfilter_skipped, 0);
-  EXPECT_EQ(off_stats.sfilter_skipped, 0);
-  EXPECT_EQ(on_stats.matches, off_stats.matches);
-  EXPECT_LT(on_stats.filter_batches + on_stats.candidates,
-            off_stats.filter_batches + off_stats.candidates + 1);
+  EXPECT_GT(on_stats.Get(Stat::kSfilterSkipped), 0);
+  EXPECT_EQ(off_stats.Get(Stat::kSfilterSkipped), 0);
+  EXPECT_EQ(on_stats.Get(Stat::kMatches), off_stats.Get(Stat::kMatches));
+  EXPECT_LT(
+      on_stats.Get(Stat::kFilterBatches) + on_stats.Get(Stat::kCandidates),
+      off_stats.Get(Stat::kFilterBatches) + off_stats.Get(Stat::kCandidates) +
+          1);
 
   Counters flushed;
   on_stats.FlushTo(&flushed);
-  EXPECT_EQ(flushed.Get(counter::kSfilterSkipped), on_stats.sfilter_skipped);
+  EXPECT_EQ(flushed.Get(counter::kSfilterSkipped),
+            on_stats.Get(Stat::kSfilterSkipped));
 }
 
 TEST(TiledRightTest, ShardsReplicateAndCoverTheBroadcastTree) {

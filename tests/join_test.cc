@@ -367,9 +367,12 @@ TEST(BroadcastIndexTest, ProbeBatchMatchesPerProbe) {
               SpatialPredicate::Within(), ProbeOptions(), collect(&batched),
               &batch_stats);
   EXPECT_EQ(batched, per_probe);
-  EXPECT_EQ(batch_stats.candidates, per_probe_stats.candidates);
-  EXPECT_EQ(batch_stats.matches, per_probe_stats.matches);
-  EXPECT_EQ(batch_stats.matches, static_cast<int64_t>(batched.size()));
+  EXPECT_EQ(batch_stats.Get(exec::Stat::kCandidates),
+            per_probe_stats.Get(exec::Stat::kCandidates));
+  EXPECT_EQ(batch_stats.Get(exec::Stat::kMatches),
+            per_probe_stats.Get(exec::Stat::kMatches));
+  EXPECT_EQ(batch_stats.Get(exec::Stat::kMatches),
+            static_cast<int64_t>(batched.size()));
 }
 
 TEST(BroadcastIndexTest, PreparationRespectsVertexThreshold) {
