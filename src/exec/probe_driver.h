@@ -87,7 +87,9 @@ void RunProbes(int64_t n, const index::StrTree& tree,
   } else {
     run(n, [](int64_t i) { return i; });
   }
-  stats->AddFilter(filter_stats);
+  stats->Add(Stat::kFilterBatches, filter_stats.batches);
+  stats->Add(Stat::kFilterCandidates, filter_stats.candidates);
+  stats->Add(Stat::kFilterSimdLanes, filter_stats.simd_lanes);
 }
 
 /// RunProbes against a whole built right side (its tree, packed layout and

@@ -6,7 +6,6 @@
 
 #include "common/counters.h"
 #include "exec/counter_names.h"
-#include "index/batch_prober.h"
 
 namespace cloudjoin::exec {
 
@@ -23,12 +22,6 @@ class ProbeStats {
 
   void MergeFrom(const ProbeStats& other) {
     for (size_t i = 0; i < kNumStats; ++i) slots_[i] += other.slots_[i];
-  }
-
-  void AddFilter(const index::BatchStats& filter) {
-    Add(Stat::kFilterBatches, filter.batches);
-    Add(Stat::kFilterCandidates, filter.candidates);
-    Add(Stat::kFilterSimdLanes, filter.simd_lanes);
   }
 
   /// Adds the non-zero slots to `counters` under their kStatNames (no-op

@@ -15,8 +15,8 @@
 
 namespace cloudjoin::index {
 
-/// Filter-phase statistics produced by RunBatchedProbes, merged by the
-/// engines into their ProbeStats (-> join.filter_* counters).
+/// Filter-phase statistics produced by RunBatchedProbes, which
+/// exec::RunProbes adds into its ProbeStats (-> join.filter_* counters).
 struct BatchStats {
   int64_t batches = 0;
   int64_t candidates = 0;
