@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "exec/counter_names.h"
 #include "exec/geo_parse.h"
 
 namespace cloudjoin::exec {
@@ -17,7 +16,7 @@ void ProbeScanner::ScanBlock(const dfs::SimFile& file, int64_t offset,
     std::vector<std::string_view> fields = StrSplit(line, input_.separator);
     if (static_cast<int>(fields.size()) <= input_.geometry_column ||
         static_cast<int>(fields.size()) <= input_.id_column) {
-      if (counters_ != nullptr) counters_->Add(counter::kLeftMalformed, 1);
+      stats_->Add(Stat::kLeftMalformed);
       CLOUDJOIN_LOG(Warning) << "malformed left row: " << input_.path
                              << " line " << lines.line_number() << " offset "
                              << lines.record_offset() << " ("
@@ -26,7 +25,7 @@ void ProbeScanner::ScanBlock(const dfs::SimFile& file, int64_t offset,
     }
     auto id = ParseInt64(fields[input_.id_column]);
     if (!id.ok()) {
-      if (counters_ != nullptr) counters_->Add(counter::kLeftMalformed, 1);
+      stats_->Add(Stat::kLeftMalformed);
       CLOUDJOIN_LOG(Warning) << "unparseable left id: " << input_.path
                              << " line " << lines.line_number() << " offset "
                              << lines.record_offset();
@@ -35,28 +34,12 @@ void ProbeScanner::ScanBlock(const dfs::SimFile& file, int64_t offset,
     std::string wkt(fields[input_.geometry_column]);
     auto parsed = ParseGeosWkt(wkt);
     if (!parsed.ok()) {
-      if (counters_ != nullptr) counters_->Add(counter::kLeftBadGeom, 1);
+      stats_->Add(Stat::kLeftBadGeom);
       continue;
     }
     batch->ids.push_back(*id);
     batch->wkt.push_back(std::move(wkt));
     batch->geoms.push_back(std::move(parsed).value());
-  }
-}
-
-void ColumnarScanStats::FlushTo(Counters* counters) const {
-  if (counters == nullptr) return;
-  if (blocks_total > 0) {
-    counters->Add(counter::kScanBlocksTotal, blocks_total);
-  }
-  if (blocks_pruned > 0) {
-    counters->Add(counter::kScanBlocksPruned, blocks_pruned);
-  }
-  if (rows_scanned > 0) {
-    counters->Add(counter::kScanRowsScanned, rows_scanned);
-  }
-  if (rows_materialized > 0) {
-    counters->Add(counter::kScanRowsMaterialized, rows_materialized);
   }
 }
 

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/counters.h"
 #include "common/result.h"
 #include "common/stopwatch.h"
 #include "dfs/columnar_block.h"
@@ -45,14 +44,15 @@ struct GeosProbeBatch {
 };
 
 /// The one left-side record scan: splits each line of a block, parses
-/// id + WKT, and accounts malformed rows and bad geometries under the
-/// unified join.left_malformed / join.left_bad_geom counters. Every
-/// GEOS-kernel engine shell (standalone blocks, Impala scan ranges) feeds
-/// its probe phase through this scan or its row-level equivalent.
+/// id + WKT, and counts malformed rows and bad geometries in the
+/// Stat::kLeftMalformed / Stat::kLeftBadGeom slots of `stats` (non-null;
+/// the caller flushes it). Every GEOS-kernel engine shell (standalone
+/// blocks, Impala scan ranges) feeds its probe phase through this scan or
+/// its row-level equivalent.
 class ProbeScanner {
  public:
-  ProbeScanner(const TableInput& input, Counters* counters)
-      : input_(input), counters_(counters) {}
+  ProbeScanner(const TableInput& input, ProbeStats* stats)
+      : input_(input), stats_(stats) {}
 
   /// Appends every well-formed record in file[offset, offset+length) to
   /// `batch` (which is NOT cleared — callers own batch lifecycle).
@@ -61,26 +61,7 @@ class ProbeScanner {
 
  private:
   TableInput input_;
-  Counters* counters_;
-};
-
-/// Columnar left-scan accounting, accumulated locally and flushed to a
-/// `Counters` once per scan (same pattern as ProbeStats).
-struct ColumnarScanStats {
-  /// Blocks whose zone-map was consulted.
-  int64_t blocks_total = 0;
-  /// Blocks skipped entirely: zone-map disjoint from the scan region, no
-  /// column chunk decoded.
-  int64_t blocks_pruned = 0;
-  /// Rows whose stored envelopes entered the filter phase.
-  int64_t rows_scanned = 0;
-  /// Rows whose WKT payload was parsed because a filter candidate
-  /// survived (the lazy-materialization hit count).
-  int64_t rows_materialized = 0;
-
-  /// Adds the non-zero fields to `counters` under the scan.* names
-  /// (no-op on nullptr).
-  void FlushTo(Counters* counters) const;
+  ProbeStats* stats_;
 };
 
 /// Accessor-based GEOS-kernel probe, for probe sets that are not laid out
@@ -140,9 +121,10 @@ void RunGeosProbes(const GeosProbeBatch& probes, const BuiltRight& right,
 /// `scan_options.zone_map` is on), and parsing a row's WKT only when its
 /// first filter candidate arrives. Emits exactly the pairs — in exactly
 /// the order — that the text scan path (ProbeScanner::ScanBlock +
-/// RunGeosProbes over the same rows) emits, with the same counters: a row
-/// whose WKT fails to parse counts as join.left_bad_geom, never as a
-/// candidate.
+/// RunGeosProbes over the same rows) emits, with the same counts: a row
+/// whose WKT fails to parse counts as Stat::kLeftBadGeom, never as a
+/// candidate. The scan.* block and row counts land in `stats` too
+/// (non-null).
 ///
 /// `on_block(block_index, seconds)` receives per-columnar-block wall
 /// timing so engines can keep their per-task duration accounting.
@@ -152,9 +134,7 @@ Status RunColumnarGeosProbes(const dfs::ColumnarTableReader& reader,
                              const SpatialPredicate& predicate,
                              const index::ProbeOptions& probe_options,
                              const dfs::ScanOptions& scan_options,
-                             Counters* counters, Emit&& emit,
-                             ProbeStats* stats,
-                             ColumnarScanStats* scan_stats,
+                             Emit&& emit, ProbeStats* stats,
                              OnBlock&& on_block) {
   const GeosRefiner refiner(&right, &predicate);
   // The scan region: everything the right index can possibly match. Tree
@@ -169,17 +149,17 @@ Status RunColumnarGeosProbes(const dfs::ColumnarTableReader& reader,
 
   for (int64_t b = 0; b < reader.num_blocks(); ++b) {
     Stopwatch block_watch;
-    ++scan_stats->blocks_total;
+    stats->Add(Stat::kScanBlocksTotal);
     if (scan_options.zone_map && !reader.zone_map(b).Intersects(region)) {
       // Zone-map prune: not a single byte of this block's column chunks
       // is decoded, let alone its WKT payload parsed.
-      ++scan_stats->blocks_pruned;
+      stats->Add(Stat::kScanBlocksPruned);
       on_block(b, block_watch.ElapsedSeconds());
       continue;
     }
     CLOUDJOIN_ASSIGN_OR_RETURN(dfs::ColumnarBlock block, reader.ReadBlock(b));
     const int64_t n = block.size();
-    scan_stats->rows_scanned += n;
+    stats->Add(Stat::kScanRowsScanned, n);
     geoms.clear();
     geoms.resize(static_cast<size_t>(n));
     wkt.assign(static_cast<size_t>(n), std::string());
@@ -201,9 +181,9 @@ Status RunColumnarGeosProbes(const dfs::ColumnarTableReader& reader,
             if (parsed.ok()) {
               geoms[s] = std::move(parsed).value();
               wkt[s] = std::string(block.wkt[s]);
-              ++scan_stats->rows_materialized;
-            } else if (counters != nullptr) {
-              counters->Add(counter::kLeftBadGeom, 1);
+              stats->Add(Stat::kScanRowsMaterialized);
+            } else {
+              stats->Add(Stat::kLeftBadGeom);
             }
           }
           if (geoms[s] == nullptr) return std::nullopt;

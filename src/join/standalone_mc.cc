@@ -59,15 +59,13 @@ Result<StandaloneRun> StandaloneMc::Join(
     CLOUDJOIN_ASSIGN_OR_RETURN(dfs::ColumnarTableReader reader,
                                dfs::ColumnarTableReader::Open(*left_file));
     exec::ProbeStats stats;
-    exec::ColumnarScanStats scan_stats;
     CLOUDJOIN_RETURN_IF_ERROR(exec::RunColumnarGeosProbes(
-        reader, *side, predicate, probe, scan, &run.counters,
+        reader, *side, predicate, probe, scan,
         [&run](const IdPair& pair) { run.pairs.push_back(pair); }, &stats,
-        &scan_stats, [&run](int64_t /*block*/, double seconds) {
+        [&run](int64_t /*block*/, double seconds) {
           run.block_seconds.push_back(seconds);
         }));
     stats.FlushTo(&run.counters);
-    scan_stats.FlushTo(&run.counters);
     return run;
   }
 
@@ -76,9 +74,9 @@ Result<StandaloneRun> StandaloneMc::Join(
   // driver filters it (packed tree + optional Hilbert ordering) and the
   // GeosRefiner streams the dense candidate buffer — per-pair WKT
   // re-parse preserved exactly as the ISP-MC UDF does it. ----
-  exec::ProbeScanner scanner(left, &run.counters);
-  exec::GeosProbeBatch batch;
   exec::ProbeStats stats;
+  exec::ProbeScanner scanner(left, &stats);
+  exec::GeosProbeBatch batch;
   for (const dfs::BlockInfo& block : left_file->blocks()) {
     CpuTimer block_watch;
     batch.Clear();

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "common/counters.h"
 #include "data/generators.h"
 #include "exec/probe_scanner.h"
 
@@ -89,8 +88,8 @@ Result<TableReplaySource> TableReplaySource::Open(
   // malformed-row drops as the batch engines. Parsed geometries are
   // discarded — the feed carries WKT and the window index re-parses on
   // arrival, exactly like any other source.
-  Counters scan_counters;
-  exec::ProbeScanner scanner(input, &scan_counters);
+  exec::ProbeStats scan_stats;
+  exec::ProbeScanner scanner(input, &scan_stats);
   exec::GeosProbeBatch batch;
   scanner.ScanBlock(*file, 0, file->size(), &batch);
   return TableReplaySource(std::move(batch.ids), std::move(batch.wkt),

@@ -75,7 +75,7 @@ class SyntheticPointSource : public StreamSource {
 /// feed, in row order, at a configurable event-time rate — the
 /// "historical taxi log replayed as a stream" mode. Rows are scanned once
 /// at Open through the shared exec scan path (malformed rows dropped with
-/// the usual join.left_* accounting against an internal counter set).
+/// the usual join.left_* accounting into a discarded stats record).
 class TableReplaySource : public StreamSource {
  public:
   struct Options {

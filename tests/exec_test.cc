@@ -275,13 +275,13 @@ TEST(ProbeScannerTest, CountsLeftMalformedAndBadGeom) {
 
   TableInput left;
   left.path = "/tables/left.tbl";
-  Counters counters;
-  ProbeScanner scanner(left, &counters);
+  ProbeStats stats;
+  ProbeScanner scanner(left, &stats);
   GeosProbeBatch batch;
   scanner.ScanBlock(**file, 0, static_cast<int64_t>(text.size()), &batch);
 
-  EXPECT_EQ(counters.Get(counter::kLeftMalformed), 2);
-  EXPECT_EQ(counters.Get(counter::kLeftBadGeom), 1);
+  EXPECT_EQ(stats.Get(Stat::kLeftMalformed), 2);
+  EXPECT_EQ(stats.Get(Stat::kLeftBadGeom), 1);
   ASSERT_EQ(batch.size(), 2);
   EXPECT_EQ(batch.ids[0], 3);
   EXPECT_EQ(batch.ids[1], 5);
@@ -301,8 +301,8 @@ TEST(ProbeScannerTest, ScanAppendsWithoutClearing) {
 
   TableInput left;
   left.path = "/tables/left.tbl";
-  Counters counters;
-  ProbeScanner scanner(left, &counters);
+  ProbeStats stats;
+  ProbeScanner scanner(left, &stats);
   GeosProbeBatch batch;
   scanner.ScanBlock(**file, 0, static_cast<int64_t>(text.size()), &batch);
   scanner.ScanBlock(**file, 0, static_cast<int64_t>(text.size()), &batch);
@@ -335,7 +335,8 @@ TEST(ProbeScannerTest, RunGeosProbesMatchesNestedLoopOracle) {
 
   TableInput left;
   left.path = "/tables/left.tbl";
-  ProbeScanner scanner(left, &counters);
+  ProbeStats scan_stats;
+  ProbeScanner scanner(left, &scan_stats);
   GeosProbeBatch batch;
   scanner.ScanBlock(**left_file, 0, static_cast<int64_t>(left_text.size()),
                     &batch);
@@ -559,7 +560,8 @@ TEST(SFilterProbeTest, SkipsEmptyRegionsWithoutChangingResults) {
   ASSERT_TRUE(left_file.ok());
   TableInput left;
   left.path = "/tables/left.tbl";
-  ProbeScanner scanner(left, &counters);
+  ProbeStats scan_stats;
+  ProbeScanner scanner(left, &scan_stats);
   GeosProbeBatch batch;
   scanner.ScanBlock(**left_file, 0, static_cast<int64_t>(left_text.size()),
                     &batch);
