@@ -45,10 +45,10 @@ class SpatialRefinery {
         predicate_(PredicateOf(*spec)),
         refiner_(right, &predicate_) {}
 
-  /// Exact test for candidate pair (probe `p`, right slot `id`); prepared
-  /// grid usage lands in `stats`. Candidates arrive grouped by probe, so
-  /// the UDF argument slots are prepared once per probe row; only the
-  /// right geometry slot changes per candidate.
+  /// Exact test for candidate pair (probe `p`, right slot `id`); the
+  /// refinement and any prepared grid usage land in `stats`. Candidates
+  /// arrive grouped by probe, so the UDF argument slots are prepared once
+  /// per probe row; only the right geometry slot changes per candidate.
   bool Refine(int64_t p, const std::string& left_wkt,
               const geosim::Geometry& left_geom, size_t id,
               core::ProbeStats* stats) {
@@ -74,12 +74,8 @@ class SpatialRefinery {
       const bool* b = std::get_if<bool>(&v);
       match = b != nullptr && *b;
     }
-    ++refinements_;
+    stats->Add(core::Stat::kRefinements);
     return match;
-  }
-
-  void FlushTo(Counters* counters) const {
-    if (refinements_ > 0) counters->Add("join.refinements", refinements_);
   }
 
  private:
@@ -101,7 +97,6 @@ class SpatialRefinery {
   bool has_distance_;
   core::SpatialPredicate predicate_;
   core::GeosRefiner refiner_;
-  int64_t refinements_ = 0;
   int64_t current_probe_ = -1;   // probe the UDF arguments were set up for
   std::vector<Value> udf_args_;  // scratch, reused across pairs
 };
@@ -215,10 +210,10 @@ Status HdfsScanNode::ColumnarGetNext(RowBatch* batch, bool* eos) {
         const int64_t b = col_next_block_++;
         const int64_t header = col_reader_->block_offset(b);
         if (header < offset_ || header >= offset_ + length_) continue;
-        counters_->Add(core::counter::kScanBlocksTotal, 1);
+        stats_.Add(core::Stat::kScanBlocksTotal);
         if (scan_region_ != nullptr && scan_options_.zone_map &&
             !col_reader_->zone_map(b).Intersects(*scan_region_)) {
-          counters_->Add(core::counter::kScanBlocksPruned, 1);
+          stats_.Add(core::Stat::kScanBlocksPruned);
           continue;
         }
         CLOUDJOIN_ASSIGN_OR_RETURN(col_block_, col_reader_->ReadBlock(b));
@@ -227,12 +222,13 @@ Status HdfsScanNode::ColumnarGetNext(RowBatch* batch, bool* eos) {
       }
       if (!col_block_loaded_) {
         *eos = true;
+        std::exchange(stats_, {}).FlushTo(counters_);
         return Status::OK();
       }
     }
     while (!batch->IsFull() && col_row_ < col_block_.size()) {
       const size_t r = static_cast<size_t>(col_row_++);
-      counters_->Add(core::counter::kScanRowsScanned, 1);
+      stats_.Add(core::Stat::kScanRowsScanned);
       row.clear();
       row.reserve(2);
       // Projection pushdown as in the text scan: unreferenced columns
@@ -244,7 +240,7 @@ Status HdfsScanNode::ColumnarGetNext(RowBatch* batch, bool* eos) {
       }
       if (need_wkt) {
         row.emplace_back(std::string(col_block_.wkt[r]));
-        counters_->Add(core::counter::kScanRowsMaterialized, 1);
+        stats_.Add(core::Stat::kScanRowsMaterialized);
       } else {
         row.emplace_back();
       }
@@ -272,11 +268,12 @@ Status HdfsScanNode::GetNext(RowBatch* batch, bool* eos) {
   while (!batch->IsFull()) {
     if (!reader_->Next(&line)) {
       *eos = true;
+      std::exchange(stats_, {}).FlushTo(counters_);
       return Status::OK();
     }
-    counters_->Add("scan.lines", 1);
+    stats_.Add(core::Stat::kScanLines);
     if (!ParseLine(line, &row)) {
-      counters_->Add("scan.malformed", 1);
+      stats_.Add(core::Stat::kScanMalformed);
       continue;
     }
     bool keep = true;
@@ -460,6 +457,7 @@ Status SpatialJoinNode::GetNext(RowBatch* batch, bool* eos) {
     ProcessLeftBatch(left_batch_);
   }
   *eos = pending_idx_ >= pending_.size() && left_eos_;
+  if (*eos) std::exchange(stats_, {}).FlushTo(counters_);
   return Status::OK();
 }
 
@@ -475,12 +473,12 @@ void SpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
     const auto* left_wkt = std::get_if<std::string>(
         &left_row[static_cast<size_t>(spec_->left_geom_slot)]);
     if (left_wkt == nullptr) {
-      counters_->Add(core::counter::kLeftMalformed, 1);
+      stats_.Add(core::Stat::kLeftMalformed);
       continue;
     }
     auto parsed = core::ParseGeosWkt(*left_wkt);
     if (!parsed.ok()) {
-      counters_->Add(core::counter::kLeftBadGeom, 1);
+      stats_.Add(core::Stat::kLeftBadGeom);
       continue;
     }
     probe_rows_.push_back(&left_row);
@@ -494,7 +492,6 @@ void SpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
   // come back probe-ascending — per tile under the partitioned strategy —
   // so output row order matches per-row execution.
   SpatialRefinery refinery(right_, spec_, cache_parsed_);
-  core::ProbeStats stats;
   const int64_t n = static_cast<int64_t>(probe_geoms_.size());
   auto envelope_at = [&](int64_t i) -> const geom::Envelope& {
     return probe_geoms_[static_cast<size_t>(i)]->getEnvelopeInternal();
@@ -502,7 +499,7 @@ void SpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
   auto refine = [&](int64_t i, int64_t row) {
     const size_t p = static_cast<size_t>(i);
     return refinery.Refine(i, *probe_wkt_[p], *probe_geoms_[p],
-                           static_cast<size_t>(row), &stats);
+                           static_cast<size_t>(row), &stats_);
   };
   auto emit = [&](int64_t i, int64_t row) {
     EmitJoinRow(*probe_rows_[static_cast<size_t>(i)],
@@ -510,13 +507,11 @@ void SpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
                 *output_exprs_, &pending_);
   };
   if (tiles_ == nullptr) {
-    core::RunProbes(n, *right_, probe_, envelope_at, refine, emit, &stats);
+    core::RunProbes(n, *right_, probe_, envelope_at, refine, emit, &stats_);
   } else {
     core::RunTiledProbes(n, *tiles_, right_->sfilter.get(), probe_,
-                         envelope_at, refine, emit, &stats, tile_seconds_);
+                         envelope_at, refine, emit, &stats_, tile_seconds_);
   }
-  refinery.FlushTo(counters_);
-  stats.FlushTo(counters_);
 }
 
 // ----------------------------------------------------------- CrossJoin ----
@@ -546,8 +541,9 @@ Status CrossJoinNode::GetNext(RowBatch* batch, bool* eos) {
     pending_idx_ = 0;
     if (left_idx_ < left_batch_.NumRows()) {
       const Row& left_row = left_batch_.row(left_idx_++);
+      stats_.Add(core::Stat::kPairs,
+                 static_cast<int64_t>(right_->rows.size()));
       for (const Row& right_row : right_->rows) {
-        counters_->Add("join.pairs", 1);
         bool keep = true;
         for (const auto& filter : *post_filters_) {
           if (!filter->EvaluatesTrue(&left_row, &right_row)) {
@@ -571,6 +567,7 @@ Status CrossJoinNode::GetNext(RowBatch* batch, bool* eos) {
   }
   *eos = pending_idx_ >= pending_.size() &&
          left_idx_ >= left_batch_.NumRows() && left_eos_;
+  if (*eos) std::exchange(stats_, {}).FlushTo(counters_);
   return Status::OK();
 }
 

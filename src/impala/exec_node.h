@@ -10,6 +10,7 @@
 #include "dfs/columnar_block.h"
 #include "dfs/sim_file_system.h"
 #include "exec/built_right.h"
+#include "exec/probe_stats.h"
 #include "exec/tiled_right.h"
 #include "geosim/geometry.h"
 #include "impala/analyzer.h"
@@ -39,7 +40,10 @@ class ExecNode {
 /// Columnar tables are read block-by-block: the range owns every
 /// columnar block whose header offset falls inside it, and when
 /// `scan_region` is set a block whose envelope zone-map misses the
-/// region is skipped whole (gated by `scan_options.zone_map`).
+/// region is skipped whole (gated by `scan_options.zone_map`). Line,
+/// block and row counts go into a local ProbeStats, flushed into
+/// `counters` once, when the scan reaches eos (Close() is not required:
+/// the broadcast build drives a scan without it).
 class HdfsScanNode final : public ExecNode {
  public:
   /// `table`, `file`, `filters`, `needed_slots`, `counters`, and
@@ -75,6 +79,7 @@ class HdfsScanNode final : public ExecNode {
   Counters* counters_;
   const geom::Envelope* scan_region_;
   dfs::ScanOptions scan_options_;
+  cloudjoin::exec::ProbeStats stats_;
   std::unique_ptr<dfs::LineRecordReader> reader_;
   // Columnar-scan state: the open reader, the decoded current block, and
   // the cursor (next block to consider / next row in the current block).
@@ -135,7 +140,8 @@ Result<std::unique_ptr<BroadcastRight>> BuildBroadcastRight(
 /// fragment instances); the runtime reports those as separate join tasks
 /// and deducts them from the enclosing scan range's timing, which is what
 /// lets a simulated cluster schedule hot tiles independently of the scan
-/// ranges that produced them.
+/// ranges that produced them. Probe counts accumulate in one ProbeStats
+/// across all left batches, flushed into `counters` once at eos.
 class SpatialJoinNode final : public ExecNode {
  public:
   SpatialJoinNode(std::unique_ptr<ExecNode> left_child,
@@ -165,6 +171,7 @@ class SpatialJoinNode final : public ExecNode {
   const std::vector<const Expr*>* output_exprs_;
   bool cache_parsed_;
   Counters* counters_;
+  cloudjoin::exec::ProbeStats stats_;
   index::ProbeOptions probe_;
   std::vector<double>* tile_seconds_;
   RowBatch left_batch_;
@@ -180,7 +187,8 @@ class SpatialJoinNode final : public ExecNode {
 };
 
 /// Nested-loop cross join against the broadcast right side (the naive
-/// baseline of the paper's §II); post filters make it an inner join.
+/// baseline of the paper's §II); post filters make it an inner join. The
+/// pairs it evaluates are counted locally and flushed once at eos.
 class CrossJoinNode final : public ExecNode {
  public:
   CrossJoinNode(std::unique_ptr<ExecNode> left_child,
@@ -199,6 +207,7 @@ class CrossJoinNode final : public ExecNode {
   const std::vector<std::unique_ptr<Expr>>* post_filters_;
   const std::vector<const Expr*>* output_exprs_;
   Counters* counters_;
+  cloudjoin::exec::ProbeStats stats_;
   RowBatch left_batch_;
   int left_idx_ = 0;
   bool left_eos_ = false;
