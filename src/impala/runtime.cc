@@ -375,7 +375,7 @@ Result<QueryResult> ImpalaRuntime::ExecutePlan(const QueryPlan& plan,
       // on this query's critical path and nothing new to broadcast.
       result.metrics.right_build_seconds = 0.0;
       result.metrics.broadcast_bytes = 0;
-      result.metrics.counters.Add("join.index_cache_hit", 1);
+      result.metrics.counters.Add(exec::counter::kIndexCacheHit, 1);
     } else {
       result.metrics.right_build_seconds = right->build_seconds;
       result.metrics.broadcast_bytes = right->bytes;

@@ -6,6 +6,7 @@
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
+#include "exec/counter_names.h"
 #include "exec/geo_parse.h"
 #include "exec/probe_driver.h"
 #include "index/spatial_partitioner.h"
@@ -101,8 +102,8 @@ Result<SparkJoinRun> SpatialSparkSystem::Join(
   run.driver_build_seconds = build_watch.ElapsedSeconds();
   run.prepare_seconds = index->prepare_seconds();
   if (index->num_prepared() > 0) {
-    run.counters.Add("join.prepared_records", index->num_prepared());
-    run.counters.Add("join.prepare_micros",
+    run.counters.Add(exec::counter::kPreparedRecords, index->num_prepared());
+    run.counters.Add(exec::counter::kPrepareMicros,
                      static_cast<int64_t>(run.prepare_seconds * 1e6));
   }
 
@@ -274,8 +275,8 @@ Result<SparkJoinRun> SpatialSparkSystem::PartitionedJoin(
   });
   probe_stats.FlushTo(&run.counters);
   if (prepared_records > 0) {
-    run.counters.Add("join.prepared_records", prepared_records);
-    run.counters.Add("join.prepare_micros",
+    run.counters.Add(exec::counter::kPreparedRecords, prepared_records);
+    run.counters.Add(exec::counter::kPrepareMicros,
                      static_cast<int64_t>(run.prepare_seconds * 1e6));
   }
 

@@ -142,7 +142,7 @@ Result<QueryResponse> QueryService::ExecuteInternal(Session* session,
   response.exec_seconds = exec_seconds;
   response.total_seconds = total_watch.ElapsedSeconds();
   response.index_cache_hit =
-      response.result.metrics.counters.Get("join.index_cache_hit") > 0;
+      response.result.metrics.counters.Get(exec::counter::kIndexCacheHit) > 0;
   response.plan_decision = response.result.metrics.plan_decision;
   response.plan_choice = response.result.metrics.plan_choice;
   response.plan_split_tiles =
