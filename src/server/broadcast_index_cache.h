@@ -20,9 +20,9 @@ namespace cloudjoin::server {
 /// fingerprint, so only the first query of a working set pays the build.
 ///
 /// Entries are type-erased (`shared_ptr<const void>`); the key namespace
-/// prefix ("sql|" for `impala::BroadcastRight`, "mc|" for
-/// `join::StandaloneRight`, "kernel|" for `join::BroadcastIndex`)
-/// determines the concrete type, and `LookupAs<T>` casts back. Keys from
+/// prefix ("sql|" for the SQL engine's `impala::BroadcastRight`,
+/// "stream|" for a continuous query's `exec::BuiltRight`) determines the
+/// concrete type, and `LookupAs<T>` casts back. Keys from
 /// `BroadcastFingerprint::Key()` et al. are injective over everything that
 /// affects the built bytes, so a hit is always safe to reuse.
 ///

@@ -150,88 +150,10 @@ Result<QueryResponse> QueryService::ExecuteInternal(Session* session,
   response.plan_text = response.result.metrics.plan_text;
   response.session_id = session->id;
   response.query_id = query_id;
-  LogPlan(query_id, response.plan_text);
 
   queries_ok_.fetch_add(1);
   RecordLatencies(response.queue_seconds, response.exec_seconds,
                   response.total_seconds);
-  return response;
-}
-
-void QueryService::LogPlan(int64_t query_id, const std::string& plan_text) {
-  std::lock_guard<std::mutex> lock(plan_log_mu_);
-  plan_log_.push_back({query_id, plan_text});
-  while (plan_log_.size() > kPlanLogCapacity) plan_log_.pop_front();
-}
-
-std::vector<QueryService::PlanLogEntry> QueryService::RecentPlans() const {
-  std::lock_guard<std::mutex> lock(plan_log_mu_);
-  return std::vector<PlanLogEntry>(plan_log_.begin(), plan_log_.end());
-}
-
-Result<KernelJoinResponse> QueryService::ExecuteBroadcastJoin(
-    std::span<const join::IdGeometry> left, const KernelJoinRequest& request,
-    const std::function<std::vector<join::IdGeometry>()>& right_loader) {
-  CLOUDJOIN_RETURN_IF_ERROR(request.probe.Validate());
-  queries_submitted_.fetch_add(1);
-  next_query_id_.fetch_add(1);
-
-  Stopwatch total_watch;
-  Result<AdmissionController::Ticket> ticket_result = admission_.Admit(0);
-  const double queue_seconds = total_watch.ElapsedSeconds();
-  if (!ticket_result.ok()) {
-    queries_rejected_.fetch_add(1);
-    return ticket_result.status();
-  }
-  AdmissionController::Ticket ticket = std::move(ticket_result).value();
-
-  KernelJoinResponse response;
-  response.queue_seconds = queue_seconds;
-
-  const std::string key =
-      "kernel|" + request.right_name +
-      "|v=" + std::to_string(request.right_version) + "|" +
-      request.predicate.ToString() + "|" + request.prepare.Fingerprint();
-
-  auto build = [&]() -> Result<std::shared_ptr<const join::BroadcastIndex>> {
-    Stopwatch build_watch;
-    std::vector<join::IdGeometry> records = right_loader();
-    // Never hand the caller's pool to an in-service build: the pool's
-    // Wait() is global and would synchronize with unrelated queries.
-    join::PrepareOptions prepare = request.prepare;
-    prepare.pool = nullptr;
-    auto built = std::make_shared<const join::BroadcastIndex>(
-        std::move(records), request.predicate.FilterRadius(), prepare);
-    response.build_seconds = build_watch.ElapsedSeconds();
-    return std::shared_ptr<const join::BroadcastIndex>(std::move(built));
-  };
-  std::shared_ptr<const join::BroadcastIndex> index;
-  if (options_.enable_cache) {
-    CLOUDJOIN_ASSIGN_OR_RETURN(
-        index, cache_.GetOrBuild<join::BroadcastIndex>(
-                   key, "", build, &response.index_cache_hit));
-  } else {
-    CLOUDJOIN_ASSIGN_OR_RETURN(index, build());
-  }
-  if (response.index_cache_hit) {
-    response.counters.Add("join.index_cache_hit", 1);
-  }
-
-  Stopwatch probe_watch;
-  join::ProbeStats probe_stats;
-  index->Probe(left, request.predicate, request.probe,
-               [&response](int64_t, const join::IdPair& pair) {
-                 response.pairs.push_back(pair);
-               },
-               &probe_stats);
-  probe_stats.FlushTo(&response.counters);
-  response.probe_seconds = probe_watch.ElapsedSeconds();
-  ticket.Release();
-
-  queries_ok_.fetch_add(1);
-  RecordLatencies(response.queue_seconds,
-                  response.build_seconds + response.probe_seconds,
-                  total_watch.ElapsedSeconds());
   return response;
 }
 

@@ -3,11 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <shared_mutex>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -18,9 +16,7 @@
 #include "common/thread_pool.h"
 #include "dfs/sim_file_system.h"
 #include "impala/runtime.h"
-#include "join/broadcast_spatial_join.h"
 #include "join/isp_mc_system.h"
-#include "join/spatial_predicate.h"
 #include "join/table_input.h"
 #include "server/admission_controller.h"
 #include "server/broadcast_index_cache.h"
@@ -75,32 +71,6 @@ struct QueryResponse {
   std::string plan_text;
   int64_t session_id = 0;
   int64_t query_id = 0;
-};
-
-/// Identity of one bypass (kernel-level) broadcast join request — the
-/// facade path that skips SQL and probes a cached `join::BroadcastIndex`
-/// directly, for clients holding already-parsed geometry.
-struct KernelJoinRequest {
-  /// Names the right-side record set; the cache key ties the built index
-  /// to (name, version, predicate radius, prepare fingerprint).
-  std::string right_name;
-  /// Bump when the named record set changes to invalidate cached builds.
-  int64_t right_version = 0;
-  join::SpatialPredicate predicate;
-  join::PrepareOptions prepare;
-  /// Columnar filter tuning for the probe. Not part of the cache key: no
-  /// probe option changes the built index. Must Validate().
-  join::ProbeOptions probe;
-};
-
-/// Bypass join output.
-struct KernelJoinResponse {
-  std::vector<join::IdPair> pairs;
-  bool index_cache_hit = false;
-  double queue_seconds = 0.0;
-  double build_seconds = 0.0;
-  double probe_seconds = 0.0;
-  Counters counters;
 };
 
 /// Point-in-time service telemetry.
@@ -174,26 +144,6 @@ class QueryService {
   Result<QueryResponse> ExecutePlan(Session* session,
                                     const std::string& plan_text);
 
-  /// One retained executed-plan record.
-  struct PlanLogEntry {
-    int64_t query_id = 0;
-    std::string plan_text;
-  };
-
-  /// The most recently executed plans (bounded ring, newest last) — every
-  /// successful query, SQL-driven or replayed, logs its serialized plan
-  /// here.
-  std::vector<PlanLogEntry> RecentPlans() const;
-
-  /// Bypass path for facade clients holding parsed geometry: joins `left`
-  /// against the (possibly cached) broadcast index identified by
-  /// `request`, building it via `right_loader` on a miss. `right_loader`
-  /// is only invoked on a miss and must produce the records the request
-  /// identity describes. Admission-controlled like SQL queries.
-  Result<KernelJoinResponse> ExecuteBroadcastJoin(
-      std::span<const join::IdGeometry> left, const KernelJoinRequest& request,
-      const std::function<std::vector<join::IdGeometry>()>& right_loader);
-
   ServiceStats GetStats() const;
 
   /// Stats since the previous `TakeIntervalStats()` call (or since
@@ -227,9 +177,6 @@ class QueryService {
   /// `ExecutePlan`.
   Result<QueryResponse> ExecuteInternal(Session* session,
                                         const EngineFn& run);
-
-  /// Appends one executed plan to the bounded log.
-  void LogPlan(int64_t query_id, const std::string& plan_text);
 
   /// Feeds one finished query's timings into both the lifetime and the
   /// interval histograms.
@@ -268,11 +215,6 @@ class QueryService {
   /// subtracted to produce deltas.
   std::mutex interval_mu_;
   ServiceStats interval_base_;
-
-  /// Bounded ring of executed plans (newest last).
-  static constexpr size_t kPlanLogCapacity = 64;
-  mutable std::mutex plan_log_mu_;
-  std::deque<PlanLogEntry> plan_log_;
 };
 
 }  // namespace cloudjoin::server

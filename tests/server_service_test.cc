@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "data/workloads.h"
 #include "dfs/sim_file_system.h"
-#include "geom/wkt.h"
 #include "impala/types.h"
 #include "join/isp_mc_system.h"
 
@@ -35,18 +34,6 @@ std::vector<std::pair<int64_t, int64_t>> RowsToPairs(
     pairs.emplace_back(std::get<int64_t>(row[0]), std::get<int64_t>(row[1]));
   }
   return pairs;
-}
-
-geom::Geometry ParseWkt(const std::string& wkt) {
-  auto geometry = geom::ReadWkt(wkt);
-  CLOUDJOIN_CHECK(geometry.ok()) << geometry.status();
-  return std::move(geometry).value();
-}
-
-/// Right side of the kernel-join tests: two squares, ids 10 and 20.
-std::vector<join::IdGeometry> KernelRight() {
-  return {{10, ParseWkt("POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))")},
-          {20, ParseWkt("POLYGON ((40 40, 60 40, 60 60, 40 60, 40 40))")}};
 }
 
 class QueryServiceTest : public ::testing::Test {
@@ -262,46 +249,6 @@ TEST_F(QueryServiceTest, SessionDefaultsApply) {
   EXPECT_EQ(service->GetStats().cache.insertions, 2);
 }
 
-TEST_F(QueryServiceTest, BypassKernelJoinCachesIndex) {
-  auto service = std::make_unique<QueryService>(&fs_, ServiceOptions());
-  const std::vector<join::IdGeometry> left = {
-      {1, ParseWkt("POINT (2 2)")},
-      {2, ParseWkt("POINT (50 50)")},
-      {3, ParseWkt("POINT (8 8)")}};
-  std::atomic<int> loads{0};
-  auto loader = [&loads] {
-    loads.fetch_add(1);
-    return KernelRight();
-  };
-
-  KernelJoinRequest request;
-  request.right_name = "grid";
-  request.predicate = join::SpatialPredicate::Within();
-
-  Result<KernelJoinResponse> cold =
-      service->ExecuteBroadcastJoin(left, request, loader);
-  ASSERT_TRUE(cold.ok()) << cold.status();
-  EXPECT_FALSE(cold->index_cache_hit);
-  EXPECT_EQ(loads.load(), 1);
-
-  Result<KernelJoinResponse> warm =
-      service->ExecuteBroadcastJoin(left, request, loader);
-  ASSERT_TRUE(warm.ok()) << warm.status();
-  EXPECT_TRUE(warm->index_cache_hit);
-  EXPECT_EQ(loads.load(), 1);  // loader not consulted on the warm path
-  EXPECT_EQ(warm->pairs, cold->pairs);
-  const std::vector<join::IdPair> expected = {{1, 10}, {2, 20}, {3, 10}};
-  EXPECT_EQ(cold->pairs, expected);
-
-  // Bumping the version invalidates the cached identity.
-  request.right_version = 1;
-  Result<KernelJoinResponse> bumped =
-      service->ExecuteBroadcastJoin(left, request, loader);
-  ASSERT_TRUE(bumped.ok()) << bumped.status();
-  EXPECT_FALSE(bumped->index_cache_hit);
-  EXPECT_EQ(loads.load(), 2);
-}
-
 // Probe options are client input on every entry point: a bad batch size
 // comes back as an error Status, never an abort, and the same service
 // answers the next well-formed query.
@@ -472,25 +419,6 @@ TEST_F(QueryServiceTest, BadProbeBatchInQueryOptionsIsInvalidArgument) {
   Result<QueryResponse> good = service->Execute(session, TaxiNycbSql());
   ASSERT_TRUE(good.ok()) << good.status();
   EXPECT_FALSE(good->result.rows.empty());
-}
-
-TEST_F(QueryServiceTest, BadProbeBatchInKernelRequestIsInvalidArgument) {
-  auto service = std::make_unique<QueryService>(&fs_, ServiceOptions());
-  const std::vector<join::IdGeometry> left = {{1, ParseWkt("POINT (2 2)")}};
-  KernelJoinRequest request;
-  request.right_name = "grid";
-  request.predicate = join::SpatialPredicate::Within();
-  request.probe.batch_size = 0;
-  Result<KernelJoinResponse> rejected =
-      service->ExecuteBroadcastJoin(left, request, KernelRight);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-
-  request.probe = join::ProbeOptions();
-  Result<KernelJoinResponse> good =
-      service->ExecuteBroadcastJoin(left, request, KernelRight);
-  ASSERT_TRUE(good.ok()) << good.status();
-  EXPECT_EQ(good->pairs, (std::vector<join::IdPair>{{1, 10}}));
 }
 
 TEST_F(QueryServiceTest, StatsToStringMentionsEverySection) {
