@@ -1,6 +1,7 @@
 #ifndef CLOUDJOIN_BENCH_BENCH_COMMON_H_
 #define CLOUDJOIN_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -211,6 +212,19 @@ inline std::vector<join::IdGeometry> LoadIdGeometries(
     out.push_back(join::IdGeometry{*id, std::move(parsed).value()});
   }
   return out;
+}
+
+/// CHECK-fails unless `a` and `b` hold the same pairs, order aside: arms
+/// that must agree pair-for-pair are compared as sorted vectors, since
+/// two different pair sets can have the same size. `what` names the arms
+/// in the failure message.
+inline void CheckSamePairs(std::vector<join::IdPair> a,
+                           std::vector<join::IdPair> b,
+                           const std::string& what) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  CLOUDJOIN_CHECK(a == b) << what << " disagree: " << a.size() << " vs "
+                          << b.size() << " pairs";
 }
 
 /// Prints one table row: name + per-system simulated seconds.

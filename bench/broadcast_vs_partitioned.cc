@@ -25,9 +25,8 @@ void RunCase(PaperBench* bench, const data::Workload& workload,
   auto partitioned = spark.PartitionedJoin(workload.left, workload.right,
                                            workload.predicate, num_tiles);
   CLOUDJOIN_CHECK(partitioned.ok()) << partitioned.status();
-  CLOUDJOIN_CHECK(broadcast->pairs.size() == partitioned->pairs.size())
-      << "modes disagree: " << broadcast->pairs.size() << " vs "
-      << partitioned->pairs.size();
+  CheckSamePairs(broadcast->pairs, partitioned->pairs,
+                 "broadcast and partitioned modes");
 
   sim::ClusterSpec cluster = sim::ClusterSpec::Ec2(10);
   sim::RunReport b =
@@ -65,10 +64,8 @@ void RunSkewCase(PaperBench* bench, const data::Workload& workload,
   join::IspMcJoinRun b = bench->RunIspMc(workload, forced_broadcast);
   join::IspMcJoinRun ps = bench->RunIspMc(workload, partitioned_static);
   join::IspMcJoinRun pa = bench->RunIspMc(workload, partitioned_adaptive);
-  CLOUDJOIN_CHECK(b.pairs.size() == ps.pairs.size() &&
-                  b.pairs.size() == pa.pairs.size())
-      << "strategies disagree: broadcast " << b.pairs.size() << " static "
-      << ps.pairs.size() << " adaptive " << pa.pairs.size();
+  CheckSamePairs(b.pairs, ps.pairs, "broadcast and static partitioned");
+  CheckSamePairs(b.pairs, pa.pairs, "broadcast and adaptive partitioned");
 
   sim::ClusterSpec cluster = sim::ClusterSpec::Ec2(10);
   sim::RunReport rb = bench->SimulateIspMc(b, workload, cluster);

@@ -44,9 +44,7 @@ void RunSkewSweep(const Flags& flags) {
     join::IspMcJoinRun st = bench.RunIspMc(workload, options);
     options.adaptive_partitioning = true;
     join::IspMcJoinRun ad = bench.RunIspMc(workload, options);
-    CLOUDJOIN_CHECK(st.pairs.size() == ad.pairs.size())
-        << "tiling modes disagree: " << st.pairs.size() << " vs "
-        << ad.pairs.size();
+    CheckSamePairs(st.pairs, ad.pairs, "static and adaptive tiling");
 
     sim::RunReport rs = bench.SimulateIspMc(st, workload, cluster);
     sim::RunReport ra = bench.SimulateIspMc(ad, workload, cluster);
