@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "common/status.h"
 #include "common/thread_pool.h"
 #include "geom/prepared.h"
 
@@ -22,6 +23,12 @@ struct PrepareOptions {
   /// Only polygons with at least this many vertices are prepared; smaller
   /// ones refine exactly (preparation would cost more than it saves).
   int min_vertices = geom::kDefaultPrepareMinVertices;
+  /// Upper bound on grid_side. Every prepared polygon allocates
+  /// grid_side^2 one-byte cells and classifies them in
+  /// O(grid_side^2 + vertices * grid_side), so 256 caps one polygon's
+  /// grid at 64 KB, 64 times the default's.
+  static constexpr int kMaxGridSide = 256;
+
   /// Grid resolution per axis (see PreparedPolygon).
   int grid_side = geom::kDefaultPreparedGridSide;
   /// Optional worker pool: when set, per-record preparation runs in
@@ -33,6 +40,18 @@ struct PrepareOptions {
     options.enabled = true;
     options.pool = pool;
     return options;
+  }
+
+  /// InvalidArgument when grid_side exceeds kMaxGridSide (values below 1
+  /// are clamped to one cell). Client-supplied prepare options are
+  /// validated with this where they enter.
+  Status Validate() const {
+    if (grid_side > kMaxGridSide) {
+      return Status::InvalidArgument(
+          "prepared grid_side must be <= " + std::to_string(kMaxGridSide) +
+          ", got " + std::to_string(grid_side));
+    }
+    return Status::OK();
   }
 
   /// Canonical rendering of the result-relevant build knobs (the pool only

@@ -41,7 +41,9 @@ Result<int64_t> ContinuousQueryRegistry::Register(
     const std::string& sql, const StreamQueryOptions& options,
     Subscriber subscriber) {
   CLOUDJOIN_RETURN_IF_ERROR(options.window.Validate());
+  CLOUDJOIN_RETURN_IF_ERROR(options.grid.Validate());
   CLOUDJOIN_RETURN_IF_ERROR(options.probe.Validate());
+  CLOUDJOIN_RETURN_IF_ERROR(options.prepare.Validate());
 
   std::unique_ptr<impala::SelectStatement> stmt;
   CLOUDJOIN_ASSIGN_OR_RETURN(stmt, impala::ParseSelect(sql));

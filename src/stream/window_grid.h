@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "geom/envelope.h"
 #include "geosim/geometry.h"
 #include "stream/stream_event.h"
@@ -14,6 +15,12 @@
 namespace cloudjoin::stream {
 
 struct WindowGridOptions {
+  /// Upper bound on cells_per_axis. Every live pane allocates
+  /// cells_per_axis^2 cells, each an empty vector plus an envelope (about
+  /// 56 bytes) before any event arrives, so 256 caps one pane's directory
+  /// near 3.7 MB, 256 times the default's.
+  static constexpr int kMaxCellsPerAxis = 256;
+
   /// Cells per axis of each pane's uniform grid (GeoFlink's fixed grid).
   /// cells_per_axis^2 cells per live pane; 16 keeps a pane's directory a
   /// few KB while giving streets-scale feeds real pruning.
@@ -22,6 +29,19 @@ struct WindowGridOptions {
   /// empty envelopes) fall into the clamped edge cells — never dropped.
   /// Empty extent degrades to a single cell (no pruning, still correct).
   geom::Envelope extent;
+
+  /// InvalidArgument when cells_per_axis exceeds kMaxCellsPerAxis (values
+  /// below 1 are clamped to one cell). Client-supplied grid options are
+  /// validated with this where they enter.
+  Status Validate() const {
+    if (cells_per_axis > kMaxCellsPerAxis) {
+      return Status::InvalidArgument(
+          "window grid cells_per_axis must be <= " +
+          std::to_string(kMaxCellsPerAxis) + ", got " +
+          std::to_string(cells_per_axis));
+    }
+    return Status::OK();
+  }
 };
 
 /// The incremental uniform-grid index over live window contents

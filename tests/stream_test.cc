@@ -643,6 +643,39 @@ TEST_F(RegistryTest, RegisterRejectsBadProbeOptions) {
   EXPECT_EQ(results[0].pairs, (std::vector<IdPair>{{100, 1}}));
 }
 
+TEST_F(RegistryTest, RegisterRejectsOversizeGrids) {
+  // Both grids allocate their square up front (per live pane, per
+  // prepared polygon), so a side above its ceiling is refused at
+  // registration, and the registry keeps serving well-formed queries.
+  ContinuousQueryRegistry registry(service_.get(), &fs_);
+  std::vector<WindowResult> results;
+  auto collect = [&](const WindowResult& result) {
+    results.push_back(result);
+  };
+  StreamQueryOptions window_grid = TumblingOptions(10);
+  window_grid.grid.cells_per_axis = WindowGridOptions::kMaxCellsPerAxis + 1;
+  auto rejected = registry.Register(WithinSql(), window_grid, collect);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+  StreamQueryOptions prepared_grid = TumblingOptions(10);
+  prepared_grid.prepare = exec::PrepareOptions::Prepared();
+  prepared_grid.prepare.grid_side = exec::PrepareOptions::kMaxGridSide + 1;
+  rejected = registry.Register(WithinSql(), prepared_grid, collect);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+  StreamQueryOptions at_ceiling = TumblingOptions(10);
+  at_ceiling.grid.cells_per_axis = WindowGridOptions::kMaxCellsPerAxis;
+  at_ceiling.prepare.grid_side = exec::PrepareOptions::kMaxGridSide;
+  auto id = registry.Register(WithinSql(), at_ceiling, collect);
+  ASSERT_TRUE(id.ok()) << id.status();
+  registry.Ingest(Event(100, 1, "POINT (5 5)"));
+  registry.Flush();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].pairs, (std::vector<IdPair>{{100, 1}}));
+}
+
 TEST_F(RegistryTest, UnregisterStopsDelivery) {
   ContinuousQueryRegistry registry(service_.get(), &fs_);
   int windows = 0;
