@@ -74,6 +74,14 @@
 #      src/index/ and src/exec/ (comments included). An engine running its
 #      own owner test is a second dedup whose counts drift from the
 #      broadcast probe's.
+#
+# Every count on the probe and scan paths goes through one stats record,
+# exec::ProbeStats, whose slots are named in src/exec/counter_names.h:
+#
+#  11. A "join.*, "scan.*, "stream.* or "plan.* string literal may appear
+#      in src/ only in src/exec/counter_names.h and
+#      src/stream/counter_names.h. A counter name spelled out elsewhere
+#      can drift from the taxonomy the engines, tests and benches share.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -134,7 +142,11 @@ check "owner-tile dedup outside the tiled probe" \
   "OwnerTileOf" \
   "^src/(index/|exec/)"
 
+check "counter name spelled outside the counter-name headers" \
+  '"\(join\|scan\|stream\|plan\)\.' \
+  "^src/(exec|stream)/counter_names\.h$"
+
 if [ "$fail" -eq 0 ]; then
-  echo "check_no_dup_scan: OK (one scan loop, one parse entry point, one probe driver, one tiled probe)"
+  echo "check_no_dup_scan: OK (one scan loop, one parse entry point, one probe driver, one tiled probe, one counter taxonomy)"
 fi
 exit "$fail"
