@@ -32,7 +32,8 @@ class ProbeStats {
   std::array<int64_t, kNumStats> slots_{};
 };
 
-/// The refiners' statistics are the same record (the former name).
+/// The refiners count into the same record; this name stays for callers
+/// that still declare their refinement stats by it.
 using RefineStats = ProbeStats;
 
 }  // namespace cloudjoin::exec
