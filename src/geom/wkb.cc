@@ -252,13 +252,6 @@ Result<Geometry> WkbCursor::ReadGeometry(int depth) {
   }
 }
 
-int HexDigit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  return -1;
-}
-
 }  // namespace
 
 std::string WriteWkb(const Geometry& g) {

@@ -221,7 +221,7 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
 TEST(StopwatchTest, MeasuresElapsed) {
   Stopwatch w;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(w.ElapsedNanos(), 0);
   EXPECT_GE(w.ElapsedSeconds(), 0.0);
 }

@@ -311,8 +311,8 @@ TEST_F(ImpalaPlanTest, CorpusRoundTripsAndExecutes) {
 }
 
 /// Corpus (re)generation: run manually after an intentional format change
-/// (which must also bump the plan version):
-///   impala_plan_test --gtest_also_run_disabled_tests \
+/// (which must also bump the plan version), as one command line:
+///   impala_plan_test --gtest_also_run_disabled_tests
 ///       --gtest_filter='*RegenerateCorpus*'
 TEST_F(ImpalaPlanTest, DISABLED_RegenerateCorpus) {
   struct Capture {
