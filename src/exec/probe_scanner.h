@@ -71,8 +71,9 @@ class ProbeScanner {
 /// geometry (convertible to `const geosim::Geometry&`), `get_wkt(i)` the
 /// retained WKT text (`const std::string&` — the refiner re-parses it on
 /// the prepared path), and `get_id(i)` the probe record id. Runs the
-/// shared driver (RunProbes) with a GeosRefiner, calling `emit(IdPair)`
-/// for every match in probe order; `stats` must be non-null.
+/// shared driver (RunProbes) with a GeosRefiner, calling `emit(i, IdPair)`
+/// for every match of probe i, probes ascending and, per probe, in tree
+/// emit order; `stats` must be non-null.
 template <typename GetGeom, typename GetWkt, typename GetId, typename Emit>
 void RunGeosProbes(int64_t count, GetGeom&& get_geom, GetWkt&& get_wkt,
                    GetId&& get_id, const BuiltRight& right,
@@ -91,7 +92,7 @@ void RunGeosProbes(int64_t count, GetGeom&& get_geom, GetWkt&& get_wkt,
                               static_cast<size_t>(slot), stats);
       },
       [&](int64_t i, int64_t slot) {
-        emit(IdPair(get_id(i), right.ids[static_cast<size_t>(slot)]));
+        emit(i, IdPair(get_id(i), right.ids[static_cast<size_t>(slot)]));
       },
       stats);
 }
@@ -112,7 +113,8 @@ void RunGeosProbes(const GeosProbeBatch& probes, const BuiltRight& right,
         return probes.wkt[static_cast<size_t>(i)];
       },
       [&](int64_t i) { return probes.ids[static_cast<size_t>(i)]; }, right,
-      predicate, probe_options, std::forward<Emit>(emit), stats);
+      predicate, probe_options, [&](int64_t, IdPair pair) { emit(pair); },
+      stats);
 }
 
 /// The columnar left-scan: streams one columnar table through the shared

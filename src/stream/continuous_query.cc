@@ -1,6 +1,7 @@
 #include "stream/continuous_query.h"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -9,7 +10,9 @@
 #include "exec/probe_scanner.h"
 #include "exec/probe_stats.h"
 #include "exec/right_builder.h"
+#include "exec/table_input.h"
 #include "impala/analyzer.h"
+#include "impala/catalog.h"
 #include "impala/parser.h"
 #include "stream/counter_names.h"
 
@@ -67,11 +70,7 @@ Result<int64_t> ContinuousQueryRegistry::Register(
   query->options = options;
   query->predicate = ToPredicate(*analyzed->spatial_join);
   query->right_table = analyzed->right_table->name;
-  query->right_input.path = analyzed->right_table->dfs_path;
-  query->right_input.separator = analyzed->right_table->separator;
-  query->right_input.id_column = 0;
-  query->right_input.geometry_column = analyzed->spatial_join->right_geom_slot;
-  query->right_input.format = analyzed->right_table->format;
+  query->right_geom_slot = analyzed->spatial_join->right_geom_slot;
   query->subscriber = std::move(subscriber);
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -145,23 +144,31 @@ void ContinuousQueryRegistry::Flush() {
 
 Result<std::shared_ptr<const exec::BuiltRight>>
 ContinuousQueryRegistry::ResolveRight(const Query& query, bool* cache_hit) {
-  // The catalog generation fences replaced tables out of the cache: a
-  // re-registered right side changes the key, so stale entries are
-  // unreachable even if an in-flight build inserts after InvalidateTable.
-  const int64_t generation =
-      service_->system()->runtime()->catalog()->TableGeneration(
-          query.right_table);
+  // The table's current definition, so a right side re-registered from
+  // another file is read from that file. The catalog generation fences
+  // replaced tables out of the cache: a re-registered right side changes
+  // the key, so stale entries are unreachable even if an in-flight build
+  // inserts after InvalidateTable.
+  impala::Catalog* catalog = service_->system()->runtime()->catalog();
+  const impala::TableDef* table;
+  CLOUDJOIN_ASSIGN_OR_RETURN(table, catalog->GetTable(query.right_table));
+  exec::TableInput input;
+  input.path = table->dfs_path;
+  input.separator = table->separator;
+  input.geometry_column = query.right_geom_slot;
+  input.format = table->format;
+  const int64_t generation = catalog->TableGeneration(query.right_table);
   const std::string key =
       "stream|" + query.right_table + "|gen=" + std::to_string(generation) +
-      "|geom=" + std::to_string(query.right_input.geometry_column) + "|" +
+      "|geom=" + std::to_string(input.geometry_column) + "|" +
       query.predicate.ToString() + "|" + query.options.prepare.Fingerprint();
   auto build = [&]() -> Result<std::shared_ptr<const exec::BuiltRight>> {
     const dfs::SimFile* file;
-    CLOUDJOIN_ASSIGN_OR_RETURN(file, fs_->GetFile(query.right_input.path));
+    CLOUDJOIN_ASSIGN_OR_RETURN(file, fs_->GetFile(input.path));
     exec::BuiltRight built;
     CLOUDJOIN_ASSIGN_OR_RETURN(
         built, exec::BuildRightFromTable(
-                   *file, query.right_input, query.predicate.FilterRadius(),
+                   *file, input, query.predicate.FilterRadius(),
                    query.options.prepare, &counters_));
     return std::shared_ptr<const exec::BuiltRight>(
         std::make_shared<exec::BuiltRight>(std::move(built)));
@@ -202,18 +209,28 @@ void ContinuousQueryRegistry::OnClosedWindow(Query& query,
                   1);
     const exec::BuiltRight& built = *right.value();
     const geom::Envelope& region = built.tree->bounds();
+    // Stored matches hold only for the right side they were probed
+    // against. Holding that side keeps a replacement from reusing its
+    // address.
+    if (right.value() != query.memo_right) {
+      query.grid.ForgetMatches();
+      query.memo_right = right.value();
+    }
 
     std::vector<const WindowGrid::EventRef*> refs;
     WindowGrid::GatherStats gather_stats;
-    // Rebuild-per-window baseline scratch; lives until after the probe.
+    // Rebuild-per-window baseline scratch; lives until the pairs are
+    // assembled.
     WindowGrid rebuilt(query.options.grid);
+    WindowGrid* grid = &query.grid;
     if (query.options.incremental_index) {
-      query.grid.Gather(closed.index,
-                        closed.index + query.options.window.PanesPerWindow() - 1,
-                        region, &refs, &gather_stats);
+      grid->Gather(closed.index,
+                   closed.index + query.options.window.PanesPerWindow() - 1,
+                   region, &refs, &gather_stats);
     } else {
       // Ablation baseline: parse + index the whole window at firing time,
-      // then gather identically (same pruning, same seq order).
+      // then gather identically (same pruning, same seq order). The
+      // scratch grid starts empty, so every event is probed again.
       counters_.Add(counter::kGridRebuilds, 1);
       for (const StreamEvent* event : closed.events) {
         auto parsed = exec::ParseGeosWkt(event->wkt);
@@ -228,7 +245,8 @@ void ContinuousQueryRegistry::OnClosedWindow(Query& query,
         ref.geom = std::move(parsed).value();
         rebuilt.Insert(0, std::move(ref));
       }
-      rebuilt.Gather(0, 0, region, &refs, &gather_stats);
+      grid = &rebuilt;
+      grid->Gather(0, 0, region, &refs, &gather_stats);
     }
     result.probed_events = static_cast<int64_t>(refs.size());
     result.cells_scanned = gather_stats.cells_scanned;
@@ -237,20 +255,48 @@ void ContinuousQueryRegistry::OnClosedWindow(Query& query,
     counters_.Add(counter::kCellsPruned, gather_stats.cells_pruned);
     counters_.Add(counter::kEventsPruned, gather_stats.events_pruned);
 
+    // Filter and refine, in one batch, only the gathered events that no
+    // earlier window probed against this right side.
+    std::vector<const WindowGrid::EventRef*> unprobed;
+    for (const WindowGrid::EventRef* ref : refs) {
+      if (!grid->StoredMatches(*ref)) unprobed.push_back(ref);
+    }
+    std::vector<int64_t> right_ids;
+    std::vector<size_t> match_counts(unprobed.size(), 0);
     exec::ProbeStats probe_stats;
     exec::RunGeosProbes(
-        static_cast<int64_t>(refs.size()),
+        static_cast<int64_t>(unprobed.size()),
         [&](int64_t i) -> const geosim::Geometry& {
-          return *refs[static_cast<size_t>(i)]->geom;
+          return *unprobed[static_cast<size_t>(i)]->geom;
         },
         [&](int64_t i) -> const std::string& {
-          return refs[static_cast<size_t>(i)]->event->wkt;
+          return unprobed[static_cast<size_t>(i)]->event->wkt;
         },
-        [&](int64_t i) { return refs[static_cast<size_t>(i)]->id; }, built,
-        query.predicate, query.options.probe,
-        [&](exec::IdPair pair) { result.pairs.push_back(pair); },
+        [&](int64_t i) { return unprobed[static_cast<size_t>(i)]->id; },
+        built, query.predicate, query.options.probe,
+        [&](int64_t i, exec::IdPair pair) {
+          ++match_counts[static_cast<size_t>(i)];
+          right_ids.push_back(pair.second);
+        },
         &probe_stats);
     probe_stats.FlushTo(&counters_);
+    const std::span<const int64_t> probed_ids(right_ids);
+    size_t offset = 0;
+    for (size_t i = 0; i < unprobed.size(); ++i) {
+      grid->StoreMatches(*unprobed[i],
+                         probed_ids.subspan(offset, match_counts[i]));
+      offset += match_counts[i];
+    }
+
+    // Every probe's pairs come out in tree emit order whatever batch it
+    // ran in, so the window's pairs are its events' stored matches
+    // concatenated in seq order: what one probe of the whole window emits.
+    for (const WindowGrid::EventRef* ref : refs) {
+      const std::span<const int64_t> matches = *grid->StoredMatches(*ref);
+      for (int64_t right_id : matches) {
+        result.pairs.emplace_back(ref->id, right_id);
+      }
+    }
     counters_.Add(counter::kPairsEmitted,
                   static_cast<int64_t>(result.pairs.size()));
   }

@@ -16,7 +16,6 @@
 #include "exec/id_geometry.h"
 #include "exec/prepare_options.h"
 #include "exec/spatial_predicate.h"
-#include "exec/table_input.h"
 #include "index/probe_options.h"
 #include "server/query_service.h"
 #include "stream/stream_event.h"
@@ -58,12 +57,17 @@ struct WindowResult {
   std::vector<exec::IdPair> pairs;
 
   int64_t window_events = 0;
-  /// Events that entered the filter phase (window_events minus cell-level
-  /// pruning and bad geometries).
+  /// Events gathered for the probe (window_events minus cell-level pruning
+  /// and bad geometries). Only those that no earlier window probed against
+  /// the same right side were filtered and refined in this window; the
+  /// rest contributed their stored matches.
   int64_t probed_events = 0;
   int64_t cells_scanned = 0;
   int64_t cells_pruned = 0;
   bool right_cache_hit = false;
+  /// Wall time from resolving the right side to the assembled pairs:
+  /// resolve, gather, the probe of the not-yet-probed events, and the
+  /// pair assembly.
   double probe_seconds = 0.0;
   /// This query's per-window latency distribution so far (count == number
   /// of windows fired); p99 via PercentileSeconds(0.99).
@@ -96,8 +100,14 @@ struct StreamStats {
 /// once, reused across windows and queries — the broadcast side of the
 /// paper's join, amortized over the stream), gathers the window contents
 /// from the grid (pruned against the right side's filter region), runs
-/// the shared exec::RunGeosProbes driver, and pushes a WindowResult to
-/// the subscriber.
+/// the shared exec::RunGeosProbes driver over the gathered events that
+/// have no stored matches yet, stores their matches in the grid, and
+/// pushes a WindowResult whose pairs are every gathered event's stored
+/// matches in arrival order. A sliding window's events are thus filtered
+/// and refined once per right side, not once per window holding them,
+/// and the join.* counters count them once. A different right side (a
+/// re-registered table, a cache rebuild, a service without a cache)
+/// discards every stored match.
 ///
 /// Thread-safety: Register/Ingest/Flush/GetStats serialize on one mutex;
 /// subscribers run under it (keep them cheap). Replacing a table on the
@@ -140,9 +150,11 @@ class ContinuousQueryRegistry {
     StreamQueryOptions options;
     exec::SpatialPredicate predicate;
     std::string right_table;
-    exec::TableInput right_input;
+    int right_geom_slot = 0;
     WindowManager manager;
     WindowGrid grid;
+    /// The right side `grid`'s stored matches were probed against.
+    std::shared_ptr<const exec::BuiltRight> memo_right;
     Subscriber subscriber;
     LatencyHistogram probe_latency;
 

@@ -93,13 +93,15 @@ Result<TableReplaySource> TableReplaySource::Open(
   exec::GeosProbeBatch batch;
   scanner.ScanBlock(*file, 0, file->size(), &batch);
   return TableReplaySource(std::move(batch.ids), std::move(batch.wkt),
-                           options);
+                           scan_stats, options);
 }
 
 TableReplaySource::TableReplaySource(std::vector<int64_t> ids,
                                      std::vector<std::string> wkt,
+                                     const exec::ProbeStats& scan_stats,
                                      const Options& options)
     : options_(options),
+      scan_stats_(scan_stats),
       rng_(options.seed ^ 0x243f6a8885a308d3ULL),
       ids_(std::move(ids)),
       wkt_(std::move(wkt)) {}

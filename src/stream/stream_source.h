@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "dfs/sim_file_system.h"
+#include "exec/probe_stats.h"
 #include "exec/table_input.h"
 #include "geom/envelope.h"
 #include "stream/stream_event.h"
@@ -74,8 +75,8 @@ class SyntheticPointSource : public StreamSource {
 /// Replays the rows of a registered delimited table as a timestamped
 /// feed, in row order, at a configurable event-time rate — the
 /// "historical taxi log replayed as a stream" mode. Rows are scanned once
-/// at Open through the shared exec scan path (malformed rows dropped with
-/// the usual join.left_* accounting into a discarded stats record).
+/// at Open through the shared exec scan path; malformed rows and bad
+/// geometries are dropped and counted in scan_stats().
 class TableReplaySource : public StreamSource {
  public:
   struct Options {
@@ -94,11 +95,17 @@ class TableReplaySource : public StreamSource {
 
   int64_t num_rows() const { return static_cast<int64_t>(ids_.size()); }
 
+  /// The Open scan's counts: the rows it dropped as malformed
+  /// (join.left_malformed) or as bad geometries (join.left_bad_geom).
+  const exec::ProbeStats& scan_stats() const { return scan_stats_; }
+
  private:
   TableReplaySource(std::vector<int64_t> ids, std::vector<std::string> wkt,
+                    const exec::ProbeStats& scan_stats,
                     const Options& options);
 
   Options options_;
+  exec::ProbeStats scan_stats_;
   Rng rng_;
   std::vector<int64_t> ids_;
   std::vector<std::string> wkt_;

@@ -3,7 +3,21 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/logging.h"
+
 namespace cloudjoin::stream {
+
+namespace {
+
+/// The pane `pane` of `panes`, which must still be live.
+template <typename Panes>
+auto& LivePane(Panes& panes, int64_t pane) {
+  auto it = panes.find(pane);
+  CLOUDJOIN_CHECK(it != panes.end()) << "event of expired pane " << pane;
+  return it->second;
+}
+
+}  // namespace
 
 WindowGrid::WindowGrid(const WindowGridOptions& options)
     : options_(options),
@@ -35,6 +49,9 @@ void WindowGrid::Insert(int64_t pane, EventRef ref) {
     grid.cells.resize(static_cast<size_t>(cells_per_axis_) *
                       static_cast<size_t>(cells_per_axis_));
   }
+  ref.pane = pane;
+  ref.slot = static_cast<int64_t>(grid.ranges.size());
+  grid.ranges.emplace_back();
   const geom::Envelope& envelope = ref.geom->getEnvelopeInternal();
   Cell& cell = grid.cells[static_cast<size_t>(CellFor(envelope))];
   cell.bounds.ExpandToInclude(envelope);
@@ -52,6 +69,34 @@ int64_t WindowGrid::ExpirePane(int64_t pane) {
   panes_.erase(it);
   live_events_ -= dropped;
   return dropped;
+}
+
+std::optional<std::span<const int64_t>> WindowGrid::StoredMatches(
+    const EventRef& ref) const {
+  const PaneGrid& grid = LivePane(panes_, ref.pane);
+  const MatchRange& range = grid.ranges[static_cast<size_t>(ref.slot)];
+  if (range.begin < 0) return std::nullopt;
+  return std::span<const int64_t>(grid.matches)
+      .subspan(static_cast<size_t>(range.begin),
+               static_cast<size_t>(range.count));
+}
+
+void WindowGrid::StoreMatches(const EventRef& ref,
+                              std::span<const int64_t> right_ids) {
+  PaneGrid& grid = LivePane(panes_, ref.pane);
+  MatchRange& range = grid.ranges[static_cast<size_t>(ref.slot)];
+  CLOUDJOIN_CHECK(range.begin < 0) << "event already probed";
+  range.begin = static_cast<int64_t>(grid.matches.size());
+  range.count = static_cast<int64_t>(right_ids.size());
+  grid.matches.insert(grid.matches.end(), right_ids.begin(), right_ids.end());
+}
+
+void WindowGrid::ForgetMatches() {
+  for (auto& entry : panes_) {
+    PaneGrid& grid = entry.second;
+    std::fill(grid.ranges.begin(), grid.ranges.end(), MatchRange{});
+    grid.matches.clear();
+  }
 }
 
 void WindowGrid::Gather(int64_t first_pane, int64_t last_pane,

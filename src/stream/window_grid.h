@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,6 +59,12 @@ struct WindowGridOptions {
 /// contents cannot reach it — output-neutral, because the batched filter
 /// would reject every candidate in them anyway.
 ///
+/// Each pane also memoizes the right ids its events matched, so the P
+/// windows that overlap a pane filter and refine each of its events once
+/// (the pane technique of Li et al., "No Pane, No Gain"). The memo holds
+/// for one right side at a time; the owner calls ForgetMatches when that
+/// changes.
+///
 /// Not thread-safe; the registry serializes access. Mutation of this
 /// index outside src/stream is a tripwire violation
 /// (tools/check_no_dup_scan.sh).
@@ -70,6 +78,10 @@ class WindowGrid {
     int64_t id = 0;
     const StreamEvent* event = nullptr;
     std::unique_ptr<geosim::Geometry> geom;
+    /// Set by Insert: the event's pane and its arrival position among
+    /// that pane's events, which key its stored matches.
+    int64_t pane = 0;
+    int64_t slot = 0;
   };
 
   struct GatherStats {
@@ -87,7 +99,8 @@ class WindowGrid {
   /// content-envelope expand).
   void Insert(int64_t pane, EventRef ref);
 
-  /// Releases every event of `pane`; returns how many were dropped.
+  /// Releases every event of `pane`, with its stored matches; returns how
+  /// many events were dropped.
   int64_t ExpirePane(int64_t pane);
 
   /// Collects the refs of panes [first_pane, last_pane] whose cell
@@ -97,6 +110,19 @@ class WindowGrid {
   void Gather(int64_t first_pane, int64_t last_pane,
               const geom::Envelope& region,
               std::vector<const EventRef*>* out, GatherStats* stats) const;
+
+  /// The right ids `ref` matched, in emit order, or std::nullopt while it
+  /// is unprobed. `ref` must come from Gather on this grid, with its pane
+  /// still live; the span is valid until the next StoreMatches.
+  std::optional<std::span<const int64_t>> StoredMatches(
+      const EventRef& ref) const;
+
+  /// Stores `right_ids` as the matches of the unprobed `ref`.
+  void StoreMatches(const EventRef& ref, std::span<const int64_t> right_ids);
+
+  /// Leaves every live event unprobed: the right side its stored matches
+  /// were computed against has been replaced.
+  void ForgetMatches();
 
   int64_t live_events() const { return live_events_; }
   int64_t live_panes() const { return static_cast<int64_t>(panes_.size()); }
@@ -108,8 +134,17 @@ class WindowGrid {
     /// shrinks — pruning stays conservative within a pane's lifetime).
     geom::Envelope bounds;
   };
+  /// One event's run in its pane's `matches`; begin < 0 while unprobed.
+  struct MatchRange {
+    int64_t begin = -1;
+    int64_t count = 0;
+  };
   struct PaneGrid {
     std::vector<Cell> cells;
+    /// The match memo: `ranges[slot]` locates each event's run of right
+    /// ids in `matches`.
+    std::vector<MatchRange> ranges;
+    std::vector<int64_t> matches;
   };
 
   /// Cell index for an event envelope (clamped into the grid).

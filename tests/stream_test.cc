@@ -3,12 +3,14 @@
 #include <atomic>
 #include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "dfs/sim_file_system.h"
+#include "exec/counter_names.h"
 #include "exec/geo_parse.h"
 #include "exec/table_input.h"
 #include "geom/envelope.h"
@@ -335,6 +337,52 @@ TEST_F(WindowGridTest, ExpirePaneReleasesOnlyThatPane) {
   EXPECT_EQ(grid.live_panes(), 0);
 }
 
+TEST_F(WindowGridTest, StoredMatchesLiveUntilForgottenOrExpired) {
+  WindowGridOptions options;
+  options.cells_per_axis = 4;
+  options.extent = geom::Envelope(0, 0, 100, 100);
+  WindowGrid grid(options);
+  Insert(&grid, 0, /*seq=*/1, 1, 5, 5);
+  Insert(&grid, 1, /*seq=*/2, 2, 90, 90);
+  Insert(&grid, 0, /*seq=*/3, 3, 50, 50);
+
+  std::vector<const WindowGrid::EventRef*> refs;
+  WindowGrid::GatherStats stats;
+  grid.Gather(0, 1, geom::Envelope(0, 0, 100, 100), &refs, &stats);
+  ASSERT_EQ(refs.size(), 3u);
+  for (const WindowGrid::EventRef* ref : refs) {
+    EXPECT_FALSE(grid.StoredMatches(*ref).has_value());
+  }
+  const std::vector<int64_t> first = {10, 11};
+  grid.StoreMatches(*refs[0], first);
+  grid.StoreMatches(*refs[1], {});
+  grid.StoreMatches(*refs[2], std::vector<int64_t>{12});
+  const auto matches_of = [&](const WindowGrid::EventRef& ref) {
+    const std::span<const int64_t> ids = *grid.StoredMatches(ref);
+    return std::vector<int64_t>(ids.begin(), ids.end());
+  };
+  EXPECT_EQ(matches_of(*refs[0]), first);
+  EXPECT_TRUE(matches_of(*refs[1]).empty());  // probed, no match
+  EXPECT_EQ(matches_of(*refs[2]), (std::vector<int64_t>{12}));
+
+  // A late arrival into a probed pane starts unprobed.
+  Insert(&grid, 0, /*seq=*/4, 4, 6, 6);
+  refs.clear();
+  grid.Gather(0, 0, geom::Envelope(0, 0, 100, 100), &refs, &stats);
+  ASSERT_EQ(refs.size(), 3u);
+  EXPECT_EQ(refs[2]->seq, 4);
+  EXPECT_FALSE(grid.StoredMatches(*refs[2]).has_value());
+  EXPECT_EQ(matches_of(*refs[0]), first);
+
+  // A new right side: every stored match is gone.
+  grid.ForgetMatches();
+  for (const WindowGrid::EventRef* ref : refs) {
+    EXPECT_FALSE(grid.StoredMatches(*ref).has_value());
+  }
+  EXPECT_EQ(grid.ExpirePane(0), 3);
+  EXPECT_EQ(grid.live_events(), 1);
+}
+
 TEST_F(WindowGridTest, EmptyExtentDegradesToOneCellWithoutLoss) {
   WindowGrid grid(WindowGridOptions{});  // empty extent -> single cell
   Insert(&grid, 0, /*seq=*/1, 1, -1e9, 1e9);
@@ -411,6 +459,29 @@ TEST(TableReplaySourceTest, ReplaysRowsInOrderAtConfiguredRate) {
   EXPECT_EQ(event.id, 9);
   EXPECT_EQ(event.event_time_ms, 4);
   EXPECT_FALSE(source->Next(&event));
+}
+
+TEST(TableReplaySourceTest, CountsTheRowsItsScanDrops) {
+  dfs::SimFileSystem fs(2, 4 * 1024);
+  ASSERT_TRUE(fs.WriteTextFile("/t/pts.tbl", {"7\tPOINT (1 1)",
+                                              "no geometry column",
+                                              "8\tPOINT (banana)",
+                                              "9\tPOINT (3 3)"})
+                  .ok());
+  exec::TableInput input;
+  input.path = "/t/pts.tbl";
+
+  auto source = TableReplaySource::Open(fs, input, {});
+  ASSERT_TRUE(source.ok()) << source.status();
+  Counters counters;
+  source->scan_stats().FlushTo(&counters);
+  EXPECT_EQ(counters.Get(exec::counter::kLeftMalformed), 1);
+  EXPECT_EQ(counters.Get(exec::counter::kLeftBadGeom), 1);
+
+  std::vector<int64_t> ids;
+  StreamEvent event;
+  while (source->Next(&event)) ids.push_back(event.id);
+  EXPECT_EQ(ids, (std::vector<int64_t>{7, 9}));
 }
 
 // ---------------------------------------------------------------------------
@@ -555,6 +626,123 @@ TEST_F(RegistryTest, IncrementalAndRebuildModesAgree) {
   EXPECT_EQ(pairs[0], pairs[1]);
   EXPECT_EQ(registry.GetStats().counters.Get(counter::kGridRebuilds),
             static_cast<int64_t>(pairs[1].size()));
+}
+
+TEST_F(RegistryTest, SlidingWindowRefinesEachEventOnce) {
+  ContinuousQueryRegistry registry(service_.get(), &fs_);
+  std::vector<WindowResult> results;
+  StreamQueryOptions options = TumblingOptions(20);
+  options.window.slide_ms = 5;  // four panes: every event in four windows
+  auto id = registry.Register(WithinSql(), options,
+                              [&](const WindowResult& result) {
+                                ASSERT_TRUE(result.status.ok())
+                                    << result.status;
+                                results.push_back(result);
+                              });
+  ASSERT_TRUE(id.ok()) << id.status();
+
+  registry.Ingest(Event(100, 1, "POINT (5 5)"));     // square 1
+  registry.Ingest(Event(101, 6, "POINT (25 25)"));   // square 2
+  registry.Ingest(Event(102, 12, "POINT (15 15)"));  // no candidate
+  registry.Ingest(Event(103, 17, "POINT (2 2)"));    // square 1
+  registry.Flush();
+
+  // Windows -3..3; window w covers panes [w, w + 3] of 5 ms each.
+  const std::vector<std::vector<IdPair>> want = {
+      {{100, 1}},
+      {{100, 1}, {101, 2}},
+      {{100, 1}, {101, 2}},
+      {{100, 1}, {101, 2}, {103, 1}},
+      {{101, 2}, {103, 1}},
+      {{103, 1}},
+      {{103, 1}},
+  };
+  ASSERT_EQ(results.size(), want.size());
+  for (size_t w = 0; w < want.size(); ++w) {
+    EXPECT_EQ(results[w].window_index, static_cast<int64_t>(w) - 3);
+    EXPECT_EQ(results[w].pairs, want[w]) << "window " << w;
+  }
+  // Window 0 gathers all four events, although it probes only the one
+  // that no earlier window held.
+  EXPECT_EQ(results[3].probed_events, 4);
+
+  // One refinement per (event, candidate): three candidates in all, not
+  // one per window that holds them.
+  const StreamStats stats = registry.GetStats();
+  EXPECT_EQ(stats.counters.Get(exec::counter::kCandidates), 3);
+  EXPECT_EQ(stats.counters.Get(exec::counter::kMatches), 3);
+  EXPECT_EQ(stats.counters.Get(counter::kPairsEmitted), 12);
+}
+
+TEST_F(RegistryTest, LateEventIntoProbedPaneJoinsTheNextWindow) {
+  ContinuousQueryRegistry registry(service_.get(), &fs_);
+  std::vector<WindowResult> results;
+  StreamQueryOptions options = TumblingOptions(20);
+  options.window.slide_ms = 10;
+  auto id = registry.Register(WithinSql(), options,
+                              [&](const WindowResult& result) {
+                                ASSERT_TRUE(result.status.ok())
+                                    << result.status;
+                                results.push_back(result);
+                              });
+  ASSERT_TRUE(id.ok()) << id.status();
+
+  registry.Ingest(Event(100, 12, "POINT (5 5)"));    // pane 1
+  registry.Ingest(Event(101, 15, "POINT (25 25)"));  // pane 1
+  registry.Ingest(Event(102, 22, "POINT (21 21)"));  // pane 2; fires w0
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].pairs, (std::vector<IdPair>{{100, 1}, {101, 2}}));
+
+  // Pane 1 was probed by window 0 and is still live for window 1, so this
+  // straggler is accepted into it.
+  registry.Ingest(Event(103, 14, "POINT (8 8)"));
+  registry.Ingest(Event(104, 25, "POINT (28 22)"));  // pane 2
+  registry.Flush();
+
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[1].window_index, 1);
+  EXPECT_EQ(results[1].pairs,
+            (std::vector<IdPair>{
+                {100, 1}, {101, 2}, {102, 2}, {103, 1}, {104, 2}}));
+  EXPECT_EQ(results[2].pairs, (std::vector<IdPair>{{102, 2}, {104, 2}}));
+}
+
+TEST_F(RegistryTest, ReregisteredRightTableReachesSharedPane) {
+  ASSERT_TRUE(
+      fs_.WriteTextFile("/t/right2.tbl",
+                        {"9\tPOLYGON ((0 0, 30 0, 30 30, 0 30, 0 0))"})
+          .ok());
+  ContinuousQueryRegistry registry(service_.get(), &fs_);
+  std::vector<WindowResult> results;
+  StreamQueryOptions options = TumblingOptions(20);
+  options.window.slide_ms = 10;
+  auto id = registry.Register(WithinSql(), options,
+                              [&](const WindowResult& result) {
+                                ASSERT_TRUE(result.status.ok())
+                                    << result.status;
+                                results.push_back(result);
+                              });
+  ASSERT_TRUE(id.ok()) << id.status();
+
+  registry.Ingest(Event(100, 12, "POINT (5 5)"));    // pane 1
+  registry.Ingest(Event(101, 15, "POINT (25 25)"));  // pane 1
+  registry.Ingest(Event(102, 22, "POINT (15 15)"));  // pane 2; fires w0
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].pairs, (std::vector<IdPair>{{100, 1}, {101, 2}}));
+
+  // Window 1 shares pane 1 with window 0, but joins against the table
+  // registered now.
+  join::TableInput right2;
+  right2.path = "/t/right2.tbl";
+  ASSERT_TRUE(service_->RegisterTable("rt", right2).ok());
+  registry.Flush();
+
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[1].window_index, 1);
+  EXPECT_FALSE(results[1].right_cache_hit);
+  EXPECT_EQ(results[1].pairs,
+            (std::vector<IdPair>{{100, 9}, {101, 9}, {102, 9}}));
+  EXPECT_EQ(results[2].pairs, (std::vector<IdPair>{{102, 9}}));
 }
 
 TEST_F(RegistryTest, BadGeometryEventsAreDroppedNotFatal) {
