@@ -78,11 +78,12 @@ int main(int argc, char** argv) {
       std::printf("== STREAM MISMATCH %s\n", failure.c_str());
     }
     std::printf(
-        "stream_differential: %lld seeds, %lld events, %lld windows, %zu "
-        "mismatches\n",
+        "stream_differential: %lld seeds, %lld events, %lld windows, %lld "
+        "right-table switches, %zu mismatches\n",
         static_cast<long long>(stream_report.seeds),
         static_cast<long long>(stream_report.events),
         static_cast<long long>(stream_report.windows),
+        static_cast<long long>(stream_report.right_switches),
         stream_report.failures.size());
     stream_failed = !stream_report.failures.empty();
   }

@@ -90,14 +90,22 @@ StreamCheckReport RunStreamDifferential(uint64_t seed_base, int seeds,
       feed.push_back(std::move(event));
     }
 
-    // Service + registry under test.
+    // Service + registry under test. The right table's second version,
+    // registered halfway through the feed, holds every other row.
+    std::vector<std::string> right2_lines;
+    for (size_t i = 1; i < c.right.lines.size(); i += 2) {
+      right2_lines.push_back(c.right.lines[i]);
+    }
     dfs::SimFileSystem fs(4, /*block_size=*/4 * 1024);
     CLOUDJOIN_CHECK(fs.WriteTextFile("/check/left.tbl", c.left.lines).ok());
     CLOUDJOIN_CHECK(fs.WriteTextFile("/check/right.tbl", c.right.lines).ok());
+    CLOUDJOIN_CHECK(fs.WriteTextFile("/check/right2.tbl", right2_lines).ok());
     join::TableInput left_in;
     left_in.path = "/check/left.tbl";
     join::TableInput right_in;
     right_in.path = "/check/right.tbl";
+    join::TableInput right2_in;
+    right2_in.path = "/check/right2.tbl";
 
     server::ServiceOptions service_options;
     service_options.num_threads = 2;
@@ -154,18 +162,20 @@ StreamCheckReport RunStreamDifferential(uint64_t seed_base, int seeds,
     // pruning). This is exactly what a user re-running the window as a
     // static query would get.
     Counters oracle_counters;
-    const dfs::SimFile* right_file = nullptr;
-    {
-      auto file = fs.GetFile(right_in.path);
+    const auto build_oracle_right = [&](const std::string& path) {
+      auto file = fs.GetFile(path);
       CLOUDJOIN_CHECK(file.ok());
-      right_file = file.value();
-    }
-    exec::TableInput oracle_right_in;
-    oracle_right_in.path = right_in.path;
-    auto oracle_right = exec::BuildRightFromTable(
-        *right_file, oracle_right_in, c.predicate.FilterRadius(),
-        exec::PrepareOptions(), &oracle_counters);
-    CLOUDJOIN_CHECK(oracle_right.ok());
+      exec::TableInput input;
+      input.path = path;
+      auto built = exec::BuildRightFromTable(
+          *file.value(), input, c.predicate.FilterRadius(),
+          exec::PrepareOptions(), &oracle_counters);
+      CLOUDJOIN_CHECK(built.ok());
+      return std::move(built).value();
+    };
+    const exec::BuiltRight oracle_right = build_oracle_right(right_in.path);
+    const exec::BuiltRight oracle_right2 = build_oracle_right(right2_in.path);
+    const exec::BuiltRight* oracle_side = &oracle_right;
 
     std::vector<CapturedWindow> oracle;
     stream::WindowManager oracle_manager(window);
@@ -184,14 +194,22 @@ StreamCheckReport RunStreamDifferential(uint64_t seed_base, int seeds,
       }
       exec::ProbeStats stats;
       exec::RunGeosProbes(
-          batch, oracle_right.value(), c.predicate, index::ProbeOptions(),
+          batch, *oracle_side, c.predicate, index::ProbeOptions(),
           [&](exec::IdPair pair) { w.pairs.push_back(pair); }, &stats);
       oracle.push_back(std::move(w));
     };
 
-    for (const stream::StreamEvent& event : feed) {
-      registry.Ingest(event);
-      oracle_manager.Observe(event, oracle_fire);
+    for (size_t e = 0; e < feed.size(); ++e) {
+      if (e == feed.size() / 2 && service.RegisterTable("rt", right2_in).ok()) {
+        // Every window fired from here on joins the second version,
+        // including the windows that share panes with ones already fired.
+        // A one-row table's second version is empty and cannot register;
+        // that seed keeps its table.
+        oracle_side = &oracle_right2;
+        ++report.right_switches;
+      }
+      registry.Ingest(feed[e]);
+      oracle_manager.Observe(feed[e], oracle_fire);
       ++report.events;
     }
     registry.Flush();

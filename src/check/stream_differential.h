@@ -14,6 +14,9 @@ struct StreamCheckReport {
   /// arm vs batch, rebuild arm vs batch).
   int64_t windows = 0;
   int64_t events = 0;
+  /// Seeds whose right table was re-registered from its second version
+  /// halfway through the feed.
+  int64_t right_switches = 0;
   /// Human-readable mismatch descriptions; empty = all byte-identical.
   std::vector<std::string> failures;
 };
@@ -26,11 +29,15 @@ struct StreamCheckReport {
 /// every fired window's streamed join output is byte-identical (window
 /// bounds + ordered pair list) to a one-shot batch join
 /// (exec::RunGeosProbes over a GeosProbeBatch) of the same window
-/// contents against an independently built right side.
+/// contents against an independently built right side. Halfway through
+/// each feed the right table is re-registered from a second file holding
+/// every other row, and the oracle switches to that version at the same
+/// event.
 ///
 /// Exercises exactly the machinery the batch sweep cannot: watermark
 /// firing order, pane expiry, arrival-order restoration after the grid
-/// scatter, content-envelope cell pruning, and the stream| cache keying.
+/// scatter, content-envelope cell pruning, the stream| cache keying, and
+/// the per-pane match memo's invalidation when the right side changes.
 StreamCheckReport RunStreamDifferential(uint64_t seed_base, int seeds,
                                         bool verbose);
 
