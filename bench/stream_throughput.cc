@@ -6,18 +6,21 @@
 // incrementally — insert each event into its cell on arrival, drop the
 // expiring pane after the window fires — beats rebuilding an index from
 // the window contents at every firing, and the gap widens as windows
-// overlap (sliding mode re-parses each event size/slide times in the
-// rebuild baseline, once in the incremental one).
+// overlap (sliding mode parses, filters and refines each event size/slide
+// times in the rebuild baseline, once in the incremental one, whose grid
+// keeps each pane's matches for every window that overlaps it).
 //
 // Reported per (window, mode) arm: sustained events/sec over
 // IngestAll + Flush, windows fired, watermark lag at fire time (mean/max
 // over watermark-fired windows), per-window probe latency p50/p99, grid
-// cell scan/prune counts, and an order-sensitive checksum of every
-// emitted pair. The checksum must match across modes at each window
-// config, and with --check=1 (default) every window is additionally
-// replayed through a one-shot batch join (exec::RunGeosProbes over the
-// borrowed window contents) and must be byte-identical — the same
-// invariant the check_differential --stream-seeds harness sweeps.
+// cell scan/prune counts, refinements (join.candidates: the incremental
+// arm refines each event once, the rebuild arm once per window holding
+// it), and an order-sensitive checksum of every emitted pair. The
+// checksum must match across modes at each window config, and with
+// --check=1 (default) every window is additionally replayed through a
+// one-shot batch join (exec::RunGeosProbes over the borrowed window
+// contents) and must be byte-identical — the same invariant the
+// check_differential --stream-seeds harness sweeps.
 //
 // Flags:
 //   --smoke        small deterministic run for CI (fewer events/configs)
@@ -41,6 +44,7 @@
 #include "data/generators.h"
 #include "data/workloads.h"
 #include "dfs/sim_file_system.h"
+#include "exec/counter_names.h"
 #include "exec/geo_parse.h"
 #include "exec/probe_scanner.h"
 #include "exec/right_builder.h"
@@ -194,10 +198,12 @@ void PrintArm(const ArmConfig& config, const ArmResult& arm, bool check) {
               FormatDuration(lat.PercentileSeconds(0.50)).c_str(),
               FormatDuration(lat.PercentileSeconds(0.99)).c_str());
   std::printf("    cells scanned %lld pruned %lld  events pruned %lld  "
-              "rebuilds %lld  right cache hit/miss %lld/%lld\n",
+              "refinements %lld  rebuilds %lld  right cache hit/miss "
+              "%lld/%lld\n",
               static_cast<long long>(arm.cells_scanned),
               static_cast<long long>(arm.cells_pruned),
               static_cast<long long>(counters.Get("stream.events_pruned")),
+              static_cast<long long>(counters.Get(exec::counter::kCandidates)),
               static_cast<long long>(counters.Get("stream.grid_rebuilds")),
               static_cast<long long>(arm.interval.cache.hits),
               static_cast<long long>(arm.interval.cache.misses));
@@ -281,7 +287,7 @@ int Run(const Flags& flags) {
   }
   {
     // One sliding config: 4 panes per window, so the rebuild baseline
-    // re-parses every event 4x.
+    // parses and refines every event 4x.
     stream::WindowSpec spec;
     spec.size_ms = 800;
     spec.slide_ms = 200;

@@ -12,7 +12,8 @@
 //
 // --stream-seeds > 0 additionally runs the streaming differential arm:
 // windowed continuous queries (incremental grid + rebuild baseline)
-// checked byte-identical against one-shot batch joins per window.
+// checked byte-identical against one-shot batch joins per window, with
+// the right table re-registered halfway through each feed.
 //
 // --sql-seeds > 0 additionally runs the grammar-driven SQL fuzzer:
 // generated queries over the full dialect executed directly, through the

@@ -261,7 +261,8 @@ void ContinuousQueryRegistry::OnClosedWindow(Query& query,
     for (const WindowGrid::EventRef* ref : refs) {
       if (!grid->StoredMatches(*ref)) unprobed.push_back(ref);
     }
-    std::vector<int64_t> right_ids;
+    // The new matches' right ids, grouped by probe in probe order.
+    std::vector<int64_t> new_right_ids;
     std::vector<size_t> match_counts(unprobed.size(), 0);
     exec::ProbeStats probe_stats;
     exec::RunGeosProbes(
@@ -276,15 +277,15 @@ void ContinuousQueryRegistry::OnClosedWindow(Query& query,
         built, query.predicate, query.options.probe,
         [&](int64_t i, exec::IdPair pair) {
           ++match_counts[static_cast<size_t>(i)];
-          right_ids.push_back(pair.second);
+          new_right_ids.push_back(pair.second);
         },
         &probe_stats);
     probe_stats.FlushTo(&counters_);
-    const std::span<const int64_t> probed_ids(right_ids);
+    const std::span<const int64_t> new_ids(new_right_ids);
     size_t offset = 0;
     for (size_t i = 0; i < unprobed.size(); ++i) {
       grid->StoreMatches(*unprobed[i],
-                         probed_ids.subspan(offset, match_counts[i]));
+                         new_ids.subspan(offset, match_counts[i]));
       offset += match_counts[i];
     }
 
