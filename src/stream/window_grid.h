@@ -113,7 +113,7 @@ class WindowGrid {
 
   /// The right ids `ref` matched, in emit order, or std::nullopt while it
   /// is unprobed. `ref` must come from Gather on this grid, with its pane
-  /// still live; the span is valid until the next StoreMatches.
+  /// still live; the span is valid until the grid next changes.
   std::optional<std::span<const int64_t>> StoredMatches(
       const EventRef& ref) const;
 
