@@ -29,9 +29,9 @@ namespace cloudjoin::bench {
 /// specs.
 class PaperBench {
  public:
-  /// Flags: --scale (default 1.0), --seed, --partitions (Spark), --nodes.
-  /// Probe-side flags (columnar filter pipeline, all defaulting to the
-  /// engines' defaults): --probe_batch, --hilbert.
+  /// Flags: --scale (default 1.0), --seed, --partitions (Spark),
+  /// --block_kb, and --probe_batch (the columnar filter's batch size,
+  /// defaulting to the engines' default).
   explicit PaperBench(const Flags& flags)
       : scale_(flags.GetDouble("scale", 1.0)),
         seed_(static_cast<uint64_t>(flags.GetInt("seed", 2015))),
@@ -40,7 +40,6 @@ class PaperBench {
             flags.GetInt("block_kb", 32) * 1024) {
     probe_.batch_size = static_cast<int>(
         flags.GetInt("probe_batch", probe_.batch_size));
-    probe_.hilbert_sort = flags.GetBool("hilbert", probe_.hilbert_sort);
     auto suite = data::MaterializeWorkloads(&fs_, scale_, seed_);
     CLOUDJOIN_CHECK(suite.ok()) << suite.status();
     suite_ = std::move(suite).value();

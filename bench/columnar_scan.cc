@@ -4,10 +4,11 @@
 //
 // The left table is a spatially sorted point set (row-major over a grid,
 // so consecutive rows — and therefore columnar blocks — are spatially
-// clustered, the layout zone-maps reward and the one a Hilbert/grid
-// loader would produce). The right table is a set of small boxes confined
-// to the bottom `selectivity` fraction of the domain, so `selectivity`
-// directly controls the fraction of left blocks the join can touch.
+// clustered, the layout zone-maps reward and the one a space-filling-curve
+// or grid loader would produce). The right table is a set of small boxes
+// confined to the bottom `selectivity` fraction of the domain, so
+// `selectivity` directly controls the fraction of left blocks the join can
+// touch.
 //
 // Every arm's result pairs are checked identical before a time is
 // reported — a fast wrong scan is a bug, not a win.

@@ -81,7 +81,7 @@ void RunFast(const Sample& sample, int repeats, double* parse_s,
   int64_t found = 0;
   for (int rep = 0; rep < repeats; ++rep) {
     for (const auto& point : points) {
-      tree.Query(point.envelope(), [&](int64_t id) {
+      tree.VisitQuery(point.envelope(), [&](int64_t id) {
         if (geom::Within(point, polys[static_cast<size_t>(id)])) ++found;
       });
     }
@@ -122,7 +122,7 @@ void RunSlow(const Sample& sample, int repeats, double* parse_s,
   int64_t found = 0;
   for (int rep = 0; rep < repeats; ++rep) {
     for (const auto& point : points) {
-      tree.Query(point->getEnvelopeInternal(), [&](int64_t id) {
+      tree.VisitQuery(point->getEnvelopeInternal(), [&](int64_t id) {
         if (point->within(polys[static_cast<size_t>(id)].get())) ++found;
       });
     }

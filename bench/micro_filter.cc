@@ -1,11 +1,11 @@
-// Filter-phase microbenchmark: the columnar probe pipeline (batched,
-// optionally Hilbert-ordered, over the packed SoA tree) versus a
-// per-record StrTree::VisitQuery walk, measured in isolation — no parsing,
-// no refinement — on synthetic point probes against polygon-sized entry
+// Filter-phase microbenchmark: the columnar probe pipeline (batched, in
+// arrival order, over the packed SoA tree) versus a per-record
+// StrTree::VisitQuery walk, measured in isolation — no parsing, no
+// refinement — on synthetic point probes against polygon-sized entry
 // boxes.
 //
-// The grid is batch size x Hilbert ordering; the baseline is one pointer
-// tree walk per probe. Every configuration is validated to produce the
+// The grid is the batch size; the baseline is one pointer tree walk per
+// probe. Every configuration is validated to produce the
 // same candidate count before any timing is reported, and the measured
 // table is emitted as BENCH_filter.json for the experiment tooling.
 //
@@ -38,7 +38,6 @@ struct Measurement {
   /// batch pipeline.
   bool pointer_walk = false;
   int batch_size = 1;
-  bool hilbert = false;
   double seconds = 0.0;
   int64_t candidates = 0;
   int64_t simd_lanes = 0;
@@ -106,20 +105,17 @@ Measurement MeasurePerRecord(const index::StrTree& tree,
   return m;
 }
 
-/// One batch x Hilbert configuration of the packed batch pipeline.
-Measurement MeasureBatched(const index::StrTree& tree,
-                           const index::PackedStrTree& packed,
+/// One batch size of the packed batch pipeline.
+Measurement MeasureBatched(const index::PackedStrTree& packed,
                            const std::vector<geom::Envelope>& probes,
                            const index::ProbeOptions& options, int repeat) {
   Measurement m;
-  m.label = "batch=" + std::to_string(options.batch_size) +
-            " hilbert=" + (options.hilbert_sort ? "1" : "0");
+  m.label = "batch=" + std::to_string(options.batch_size);
   m.batch_size = options.batch_size;
-  m.hilbert = options.hilbert_sort;
   auto envelope_at = [&](int64_t i) { return probes[static_cast<size_t>(i)]; };
   TimeBestOf(repeat, &m, [&](int64_t* checksum, index::BatchStats* stats) {
     index::RunBatchedProbes(
-        static_cast<int64_t>(probes.size()), tree, &packed, options,
+        static_cast<int64_t>(probes.size()), packed, options,
         envelope_at, [&](int64_t i, int64_t id) { *checksum += i ^ id; },
         stats);
   });
@@ -141,11 +137,11 @@ void WriteJson(const std::string& path, int64_t points, int64_t entries,
     const Measurement& m = rows[i];
     std::fprintf(f,
                  "    {\"config\": \"%s\", \"pointer_walk\": %s, "
-                 "\"batch_size\": %d, \"hilbert\": %s, "
+                 "\"batch_size\": %d, "
                  "\"seconds\": %.6f, \"candidates\": %lld, "
                  "\"simd_lanes\": %lld, \"speedup_vs_pointer\": %.3f}%s\n",
                  m.label.c_str(), m.pointer_walk ? "true" : "false",
-                 m.batch_size, m.hilbert ? "true" : "false", m.seconds,
+                 m.batch_size, m.seconds,
                  static_cast<long long>(m.candidates),
                  static_cast<long long>(m.simd_lanes), m.speedup,
                  i + 1 < rows.size() ? "," : "");
@@ -173,12 +169,9 @@ void Run(const Flags& flags) {
   rows.push_back(MeasurePerRecord(tree, probes, repeat));
   const Measurement baseline = rows[0];
   for (int batch_size : {1, 64, 1024}) {
-    for (bool hilbert : {false, true}) {
-      index::ProbeOptions options;
-      options.batch_size = batch_size;
-      options.hilbert_sort = hilbert;
-      rows.push_back(MeasureBatched(tree, packed, probes, options, repeat));
-    }
+    index::ProbeOptions options;
+    options.batch_size = batch_size;
+    rows.push_back(MeasureBatched(packed, probes, options, repeat));
   }
 
   // Identical candidate counts across every configuration, or the timing

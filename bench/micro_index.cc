@@ -53,7 +53,7 @@ void BM_StrTreeQuery(benchmark::State& state) {
   int64_t hits = 0;
   for (auto _ : state) {
     geom::Envelope q = RandomQuery(&rng);
-    tree.Query(q, [&hits](int64_t) { ++hits; });
+    tree.VisitQuery(q, [&hits](int64_t) { ++hits; });
   }
   benchmark::DoNotOptimize(hits);
 }
@@ -114,16 +114,6 @@ void BM_BruteForceQuery(benchmark::State& state) {
   benchmark::DoNotOptimize(hits);
 }
 BENCHMARK(BM_BruteForceQuery)->Arg(10000);
-
-void BM_StrTreeNearest(benchmark::State& state) {
-  StrTree tree(MakeEntries(state.range(0), 13));
-  Rng rng(19);
-  for (auto _ : state) {
-    geom::Point p{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
-    benchmark::DoNotOptimize(tree.NearestEnvelope(p));
-  }
-}
-BENCHMARK(BM_StrTreeNearest)->Arg(100000);
 
 }  // namespace
 }  // namespace cloudjoin

@@ -153,20 +153,15 @@ CaseOutcome DifferentialRunner::RunCaseQuiet(const DifferentialCase& c) const {
                                             c.predicate,
                                             options_.parallel_threads,
                                             prepare)));
-  // Columnar-filter knob sweep: Hilbert on/off, with a deliberately tiny
-  // batch size so every case exercises partial batches and the post-sort
-  // order restoration.
-  for (bool hilbert : {false, true}) {
-    join::ProbeOptions probe;
-    probe.batch_size = 7;
-    probe.hilbert_sort = hilbert;
-    results.push_back(
-        Ok(std::string("mem/broadcast_packed") +
-               (hilbert ? "_hilbert" : "_unsorted"),
-           join::BroadcastSpatialJoin(c.left.records, c.right.records,
-                                      c.predicate, nullptr,
-                                      join::PrepareOptions(), probe)));
-  }
+  // A deliberately tiny batch size, so every case exercises partial
+  // batches.
+  join::ProbeOptions batch7;
+  batch7.batch_size = 7;
+  results.push_back(
+      Ok("mem/broadcast_batch7",
+         join::BroadcastSpatialJoin(c.left.records, c.right.records,
+                                    c.predicate, nullptr,
+                                    join::PrepareOptions(), batch7)));
   for (int tiles : options_.tile_counts) {
     results.push_back(
         Ok("mem/partitioned_t" + std::to_string(tiles),

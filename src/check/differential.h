@@ -51,10 +51,9 @@ struct Failure {
 /// Runs one generated workload through every join path in the repository
 /// and diffs the canonicalized result sets:
 ///
-///   in-memory: nested-loop oracle, broadcast (exact and prepared), the
-///              columnar-filter knob sweep (packed on/off × Hilbert
-///              on/off at a tiny batch size), parallel broadcast,
-///              partitioned at several tile counts;
+///   in-memory: nested-loop oracle, broadcast (exact and prepared, and
+///              at a tiny batch size), parallel broadcast, partitioned at
+///              several tile counts;
 ///   text/DFS:  SpatialSpark broadcast over WKT and WKB-hex inputs (exact
 ///              and prepared) and its partitioned variant;
 ///   SQL:       ISP-MC (exact, cached-parse, prepared), the standalone

@@ -388,7 +388,6 @@ impala::QueryOptions RandomOptions(Rng& rng) {
   opts.prepare_geometries = rng.Bernoulli(0.3);
   static const int kBatches[] = {3, 7, 64, 256};
   opts.probe.batch_size = kBatches[rng.UniformInt(4)];
-  opts.probe.hilbert_sort = rng.Bernoulli(0.5);
   opts.probe.sfilter = rng.Bernoulli(0.5);
   opts.scan.zone_map = rng.Bernoulli(0.8);
   switch (rng.UniformInt(4)) {

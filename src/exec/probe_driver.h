@@ -15,7 +15,6 @@
 #include "index/probe_options.h"
 #include "index/sfilter.h"
 #include "index/spatial_partitioner.h"
-#include "index/str_tree.h"
 
 namespace cloudjoin::exec {
 
@@ -40,10 +39,10 @@ int64_t ForEachSFilterSurvivor(int64_t n, const index::SFilter* sfilter,
 /// The one filter -> refine loop every engine runs (RESQUE's single
 /// build-then-probe loop): probes [0, n) go through the sFilter survivor
 /// pass (under `options.sfilter`, when `sfilter` is non-null), then
-/// through index::RunBatchedProbes over the packed layout of `tree`, and
-/// every candidate is handed to the engine's refiner with the original
-/// probe order restored. Candidate, match, sFilter and filter-phase counts
-/// land in `stats` (non-null), so every engine reports the same numbers.
+/// through index::RunBatchedProbes over `packed` in arrival order, and
+/// every candidate is handed to the engine's refiner. Candidate, match,
+/// sFilter and filter-phase counts land in `stats` (non-null), so every
+/// engine reports the same numbers.
 ///
 /// Engines supply three callables:
 ///  - `envelope_at(i)`: probe i's query envelope;
@@ -54,15 +53,14 @@ int64_t ForEachSFilterSurvivor(int64_t n, const index::SFilter* sfilter,
 ///  - `emit(i, slot)`: called for every match, probes ascending and, per
 ///    probe, in tree emit order — the same sequence for every knob.
 template <typename EnvelopeAt, typename Refine, typename Emit>
-void RunProbes(int64_t n, const index::StrTree& tree,
-               const index::PackedStrTree& packed,
+void RunProbes(int64_t n, const index::PackedStrTree& packed,
                const index::SFilter* sfilter,
                const index::ProbeOptions& options, EnvelopeAt&& envelope_at,
                Refine&& refine, Emit&& emit, ProbeStats* stats) {
   index::BatchStats filter_stats;
   auto run = [&](int64_t count, auto&& probe_of) {
     index::RunBatchedProbes(
-        count, tree, &packed, options,
+        count, packed, options,
         [&](int64_t i) { return envelope_at(probe_of(i)); },
         [&](int64_t i, int64_t slot) {
           const int64_t probe = probe_of(i);
@@ -92,17 +90,17 @@ void RunProbes(int64_t n, const index::StrTree& tree,
   stats->Add(Stat::kFilterSimdLanes, filter_stats.simd_lanes);
 }
 
-/// RunProbes against a whole built right side (its tree, packed layout and
+/// RunProbes against a whole built right side (its packed layout and
 /// sFilter).
 template <typename EnvelopeAt, typename Refine, typename Emit>
 void RunProbes(int64_t n, const BuiltRight& right,
                const index::ProbeOptions& options, EnvelopeAt&& envelope_at,
                Refine&& refine, Emit&& emit, ProbeStats* stats) {
-  RunProbes(n, *right.tree, *right.packed, right.sfilter.get(), options,
-            envelope_at, refine, emit, stats);
+  RunProbes(n, *right.packed, right.sfilter.get(), options, envelope_at,
+            refine, emit, stats);
 }
 
-/// One tile of a partitioned probe: RunProbes over the tile's own tree,
+/// One tile of a partitioned probe: RunProbes over the tile's packed tree,
 /// except that a candidate whose reference point — the lower-left corner
 /// of the probe envelope intersected with the right slot's expanded
 /// envelope, `slot_envelope(slot)` — lies in another tile of `partitioner`
@@ -113,14 +111,13 @@ void RunProbes(int64_t n, const BuiltRight& right,
 template <typename EnvelopeAt, typename SlotEnvelope, typename Refine,
           typename Emit>
 void RunTileProbes(const index::SpatialPartitioner& partitioner, int tile,
-                   int64_t n, const index::StrTree& tree,
-                   const index::PackedStrTree& packed,
+                   int64_t n, const index::PackedStrTree& packed,
                    const index::SFilter* sfilter,
                    const index::ProbeOptions& options,
                    EnvelopeAt&& envelope_at, SlotEnvelope&& slot_envelope,
                    Refine&& refine, Emit&& emit, ProbeStats* stats) {
   RunProbes(
-      n, tree, packed, sfilter, options, envelope_at,
+      n, packed, sfilter, options, envelope_at,
       [&](int64_t i, int64_t slot) -> std::optional<bool> {
         if (partitioner.OwnerTileOf(envelope_at(i), slot_envelope(slot)) !=
             tile) {
@@ -134,7 +131,7 @@ void RunTileProbes(const index::SpatialPartitioner& partitioner, int tile,
 /// The partitioned probe: probes [0, n) pass the sFilter survivor pass
 /// once (`sfilter` is the whole right side's, under `options.sfilter`),
 /// each survivor is routed to every tile its envelope touches, and each
-/// tile runs RunTileProbes over its own tree — tile-major, probes
+/// tile runs RunTileProbes over its own packed tree — tile-major, probes
 /// ascending within a tile. `refine(i, row)` and `emit(i, row)` receive
 /// the right *row* (the position in the BuiltRight the tiling was built
 /// from), as RunProbes over that BuiltRight does, so one pair of
@@ -161,7 +158,7 @@ void RunTiledProbes(int64_t n, const TiledRight& tiled,
                  }));
   for (int t = 0; t < tiled.num_tiles(); ++t) {
     const std::vector<int64_t>& probes = tile_probes[static_cast<size_t>(t)];
-    if (probes.empty() || tiled.tree(t).num_entries() == 0) continue;
+    if (probes.empty() || tiled.packed(t).num_entries() == 0) continue;
     CpuTimer tile_watch;
     const std::vector<TiledRight::Slot>& slots = tiled.slots(t);
     auto probe_of = [&](int64_t i) { return probes[static_cast<size_t>(i)]; };
@@ -169,8 +166,8 @@ void RunTiledProbes(int64_t n, const TiledRight& tiled,
       return slots[static_cast<size_t>(slot)].row;
     };
     RunTileProbes(
-        partitioner, t, static_cast<int64_t>(probes.size()), tiled.tree(t),
-        tiled.packed(t), /*sfilter=*/nullptr, options,
+        partitioner, t, static_cast<int64_t>(probes.size()), tiled.packed(t),
+        /*sfilter=*/nullptr, options,
         [&](int64_t i) -> decltype(auto) { return envelope_at(probe_of(i)); },
         [&](int64_t slot) -> const geom::Envelope& {
           return slots[static_cast<size_t>(slot)].envelope;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "exec/counter_names.h"
+#include "index/str_tree.h"
 
 namespace cloudjoin::exec {
 
@@ -59,7 +60,8 @@ std::unique_ptr<TiledRight> BuildTiledRight(const BuiltRight& right,
   // Replicate each entry into every tile its expanded envelope touches and
   // build the per-tile trees. Entry indices in a tile tree are slot
   // positions; the slot records the original row for record access and the
-  // expanded envelope for OwnerTileOf dedup.
+  // expanded envelope for OwnerTileOf dedup. Each tile keeps only the packed
+  // layout; the STR tree it is copied from is freed at once.
   const index::SpatialPartitioner& partitioner = *tiled->partitioner_;
   tiled->tiles_.resize(partitioner.tiles().size());
   for (const index::StrTree::Entry& e : entries) {
@@ -75,8 +77,8 @@ std::unique_ptr<TiledRight> BuildTiledRight(const BuiltRight& right,
       tile_entries.push_back(index::StrTree::Entry{
           tile.slots[s].envelope, static_cast<int64_t>(s)});
     }
-    tile.tree = std::make_unique<index::StrTree>(std::move(tile_entries));
-    tile.packed = std::make_unique<index::PackedStrTree>(*tile.tree);
+    tile.packed = std::make_unique<index::PackedStrTree>(
+        index::StrTree(std::move(tile_entries)));
   }
   return tiled;
 }

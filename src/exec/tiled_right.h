@@ -9,7 +9,6 @@
 #include "geom/point.h"
 #include "index/packed_str_tree.h"
 #include "index/spatial_partitioner.h"
-#include "index/str_tree.h"
 
 namespace cloudjoin::exec {
 
@@ -31,8 +30,8 @@ struct TiledRightOptions {
 
 /// The right side of a partitioned spatial join: the broadcast-built
 /// record store re-sharded into spatial tiles, each tile carrying its own
-/// StrTree (+ packed mirror) over the records whose expanded envelopes
-/// intersect it. Records spanning several tiles are replicated into each;
+/// packed tree over the records whose expanded envelopes intersect it.
+/// Records spanning several tiles are replicated into each;
 /// RunTiledProbes (exec/probe_driver.h) withdraws replicated candidates
 /// with the partitioner's reference-point test before refinement, so
 /// results and counts match the broadcast path pair-for-pair.
@@ -51,9 +50,6 @@ class TiledRight {
   const index::SpatialPartitioner& partitioner() const {
     return *partitioner_;
   }
-  const index::StrTree& tree(int tile) const {
-    return *tiles_[static_cast<size_t>(tile)].tree;
-  }
   const index::PackedStrTree& packed(int tile) const {
     return *tiles_[static_cast<size_t>(tile)].packed;
   }
@@ -70,7 +66,6 @@ class TiledRight {
 
   struct Tile {
     std::vector<Slot> slots;
-    std::unique_ptr<index::StrTree> tree;
     std::unique_ptr<index::PackedStrTree> packed;
   };
 

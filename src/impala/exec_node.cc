@@ -488,7 +488,7 @@ void SpatialJoinNode::ProcessLeftBatch(const RowBatch& left_rows) {
   if (probe_rows_.empty()) return;
 
   // Filter + refine: the whole row batch goes through the shared driver
-  // (sFilter, packed tree, Hilbert ordering per probe_), and candidates
+  // (sFilter and packed tree per probe_), and candidates
   // come back probe-ascending — per tile under the partitioned strategy —
   // so output row order matches per-row execution.
   SpatialRefinery refinery(right_, spec_, cache_parsed_);

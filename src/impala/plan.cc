@@ -108,7 +108,6 @@ std::vector<std::pair<std::string, std::string>> PlanNodeAttributes(
       add_bool("cache_parsed", node.cache_parsed_geometries);
       add_bool("prepare", node.prepare_geometries);
       add("probe_batch", std::to_string(node.probe.batch_size));
-      add_bool("probe_hilbert", node.probe.hilbert_sort);
       add_bool("probe_sfilter", node.probe.sfilter);
       add("strategy", plan::JoinStrategyName(node.decision.strategy));
       add_bool("forced", node.decision.forced);

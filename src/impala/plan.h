@@ -123,7 +123,7 @@ std::vector<std::pair<std::string, std::string>> PlanNodeAttributes(
 /// truncation) that runs above the root node's merged output.
 struct QueryPlan {
   /// Serialization format version (see DESIGN.md §11).
-  int version = 2;
+  int version = 3;
   std::unique_ptr<PlanNode> root;
   int num_fragments = 1;
 

@@ -306,7 +306,7 @@ class SexprParser {
 // ---------------------------------------------------------------------------
 
 constexpr std::string_view kPlanHeaderPrefix = "cloudjoin-plan version=";
-constexpr int kPlanVersion = 2;
+constexpr int kPlanVersion = 3;
 
 const char* KindToken(PlanNode::Kind kind) {
   switch (kind) {
@@ -550,9 +550,6 @@ Result<std::unique_ptr<PlanNode>> ParseNode(LineCursor* cursor) {
           CLOUDJOIN_ASSIGN_OR_RETURN(int64_t batch,
                                      ParseIntValue(value, key, 1, kIntMax));
           node->probe.batch_size = static_cast<int>(batch);
-        } else if (key == "probe_hilbert") {
-          CLOUDJOIN_ASSIGN_OR_RETURN(node->probe.hilbert_sort,
-                                     ParseBoolValue(value));
         } else if (key == "probe_sfilter") {
           CLOUDJOIN_ASSIGN_OR_RETURN(node->probe.sfilter,
                                      ParseBoolValue(value));

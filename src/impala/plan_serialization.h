@@ -14,7 +14,7 @@ namespace cloudjoin::impala {
 /// `QueryPlan/Serialization` idiom scaled to this engine). The format is
 /// line-based and specified in DESIGN.md §11:
 ///
-///   cloudjoin-plan version=2
+///   cloudjoin-plan version=3
 ///   fragments 3
 ///   visible 2
 ///   column 'id'

@@ -33,8 +33,8 @@ struct QueryOptions {
   /// already resident), and a `join.index_cache_hit` counter.
   BroadcastProvider* broadcast_provider = nullptr;
   /// Columnar filter tuning for the spatial join's probe phase (batch
-  /// size, Hilbert ordering, sFilter). Results are byte-identical for every
-  /// combination; execution rejects options that fail Validate().
+  /// size, sFilter). Results are byte-identical for every combination;
+  /// execution rejects options that fail Validate().
   index::ProbeOptions probe;
   /// Columnar-format left-scan tuning (envelope zone-map pruning —
   /// defaults on). Ignored for text-format tables; results are

@@ -11,18 +11,15 @@ namespace cloudjoin::index {
 /// records are batched against the right-side index.
 ///
 /// Probes are always tested against the packed SoA tree with the
-/// branch-free batch kernel; the defaults collect them into fixed-size row
-/// batches, Hilbert-sorted for subtree locality. Every combination produces
-/// the same pairs in the same order — the knobs trade only constant factors
-/// (batching amortizes dispatch, Hilbert buys cache locality), which is
-/// exactly the execution-layout axis the paper measures between ISP-MC's
-/// row batches and SpatialSpark's per-record closures.
+/// branch-free batch kernel, in arrival order; the defaults collect them
+/// into fixed-size row batches. Every combination produces the same pairs
+/// in the same order — the knobs trade only constant factors (batching
+/// amortizes dispatch), which is exactly the execution-layout axis the
+/// paper measures between ISP-MC's row batches and SpatialSpark's
+/// per-record closures.
 struct ProbeOptions {
   /// Probes per EnvelopeBatch. 1 degenerates to per-record probing.
   int batch_size = 256;
-  /// Sort each batch by the Hilbert key of the probe envelope's center
-  /// before filtering (original probe order is restored for refinement).
-  bool hilbert_sort = true;
   /// Consult the right side's sFilter membership bitmap (when the build
   /// carries one) before batch descent, dropping probes with provably zero
   /// candidates. Results are byte-identical either way; the counter

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "common/logging.h"
+#include "geom/point.h"
 
 namespace cloudjoin::index {
 
@@ -125,51 +125,6 @@ StrTree::StrTree(std::vector<Entry> entries, int node_capacity)
     }
   }
   root_ = static_cast<int32_t>(nodes_.size()) - 1;
-}
-
-void StrTree::Query(const geom::Envelope& query,
-                    const std::function<void(int64_t)>& fn) const {
-  VisitQuery(query, [&fn](int64_t id) { fn(id); });
-}
-
-void StrTree::Query(const geom::Envelope& query,
-                    std::vector<int64_t>* out) const {
-  VisitQuery(query, [out](int64_t id) { out->push_back(id); });
-}
-
-void StrTree::QueryWithinDistance(const geom::Point& p, double distance,
-                                  std::vector<int64_t>* out) const {
-  VisitWithinDistance(p, distance,
-                      [out](int64_t id) { out->push_back(id); });
-}
-
-int64_t StrTree::NearestEnvelope(const geom::Point& p) const {
-  if (root_ < 0) return -1;
-  int64_t best_id = -1;
-  double best_dist = std::numeric_limits<double>::infinity();
-  // Depth-first branch-and-bound on envelope distance.
-  std::vector<int32_t> stack = {root_};
-  while (!stack.empty()) {
-    int32_t ni = stack.back();
-    stack.pop_back();
-    const Node& node = nodes_[ni];
-    if (node.envelope.Distance(p) > best_dist) continue;
-    if (node.is_leaf) {
-      for (int32_t i = 0; i < node.num_children; ++i) {
-        const Entry& e = entries_[node.first_child + i];
-        double d = e.envelope.Distance(p);
-        if (d < best_dist) {
-          best_dist = d;
-          best_id = e.id;
-        }
-      }
-    } else {
-      for (int32_t i = 0; i < node.num_children; ++i) {
-        stack.push_back(node.first_child + i);
-      }
-    }
-  }
-  return best_id;
 }
 
 int64_t StrTree::MemoryBytes() const {

@@ -2,12 +2,10 @@
 #define CLOUDJOIN_INDEX_STR_TREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/logging.h"
 #include "geom/envelope.h"
-#include "geom/point.h"
 
 namespace cloudjoin::index {
 
@@ -15,8 +13,9 @@ namespace cloudjoin::index {
 ///
 /// This is the index both systems in the paper build on the broadcast right
 /// side of a spatial join (JTS `STRtree` in SpatialSpark, the in-memory
-/// R-tree in ISP-MC). Bulk-loaded once, then queried read-only from many
-/// threads.
+/// R-tree in ISP-MC). Bulk-loaded once; the engines probe the
+/// PackedStrTree copied from it, so this class is the STR builder plus
+/// VisitQuery, the reference walk.
 ///
 /// Node layout is a flat array built leaves-first; child links are index
 /// ranges, so queries touch contiguous memory.
@@ -53,10 +52,8 @@ class StrTree {
 
   /// Invokes `visit(id)` for every entry whose envelope intersects `query`.
   ///
-  /// Header-inline template: the visitor is statically dispatched, so the
-  /// filter's inner loop makes no indirect call and no allocation — this is
-  /// the join engines' probe fast path. The `std::function` overload below
-  /// is a thin wrapper kept for type-erased callers.
+  /// The reference walk: PackedStrTree replays its stack discipline, so
+  /// tests and benches compare the packed layout's emit order against it.
   template <typename Visitor>
   void VisitQuery(const geom::Envelope& query, Visitor&& visit) const {
     if (root_ < 0 || !query.Intersects(bounds_)) return;
@@ -80,35 +77,6 @@ class StrTree {
       }
     }
   }
-
-  /// Invokes `visit(id)` for every entry whose envelope is within
-  /// `distance` of `p` (the NearestD filter step), statically dispatched.
-  template <typename Visitor>
-  void VisitWithinDistance(const geom::Point& p, double distance,
-                           Visitor&& visit) const {
-    geom::Envelope query(p.x - distance, p.y - distance, p.x + distance,
-                         p.y + distance);
-    VisitQuery(query, std::forward<Visitor>(visit));
-  }
-
-  /// Invokes `fn(id)` for every entry whose envelope intersects `query`
-  /// (type-erased wrapper over VisitQuery).
-  void Query(const geom::Envelope& query,
-             const std::function<void(int64_t)>& fn) const;
-
-  /// Appends ids of every entry whose envelope intersects `query`. `out` is
-  /// a caller-held scratch buffer — reuse it across probes (clear, don't
-  /// reallocate) to keep the filter step allocation-free in steady state.
-  void Query(const geom::Envelope& query, std::vector<int64_t>* out) const;
-
-  /// Appends ids of every entry whose envelope is within `distance` of `p`
-  /// (the NearestD filter step).
-  void QueryWithinDistance(const geom::Point& p, double distance,
-                           std::vector<int64_t>* out) const;
-
-  /// Returns the id of the entry whose envelope is nearest to `p` (by MBB
-  /// distance, branch-and-bound), or -1 if the tree is empty.
-  int64_t NearestEnvelope(const geom::Point& p) const;
 
   int64_t num_entries() const { return num_entries_; }
   int height() const { return height_; }

@@ -252,7 +252,7 @@ Result<SparkJoinRun> SpatialSparkSystem::PartitionedJoin(
     auto* out = &tile_pairs[static_cast<size_t>(tile)];
     exec::RunTileProbes(
         *partitioner, tile, static_cast<int64_t>(left_local.size()),
-        *built.tree, *built.packed, built.sfilter.get(), probe_options,
+        *built.packed, built.sfilter.get(), probe_options,
         [&](int64_t i) -> const geom::Envelope& {
           return left_local[static_cast<size_t>(i)].geometry.envelope();
         },

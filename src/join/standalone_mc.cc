@@ -71,7 +71,7 @@ Result<StandaloneRun> StandaloneMc::Join(
 
   // ---- Probe phase: one task per left block, each block a row batch.
   // The core's ProbeScanner parses the block, then the shared two-phase
-  // driver filters it (packed tree + optional Hilbert ordering) and the
+  // driver filters it through the packed tree in arrival order and the
   // GeosRefiner streams the dense candidate buffer — per-pair WKT
   // re-parse preserved exactly as the ISP-MC UDF does it. ----
   exec::ProbeStats stats;

@@ -627,7 +627,7 @@ TEST(TiledRightTest, ShardsReplicateAndCoverTheBroadcastTree) {
   int64_t total_slots = 0;
   std::set<int64_t> rows_seen;
   for (int t = 0; t < tiled->num_tiles(); ++t) {
-    EXPECT_EQ(tiled->tree(t).num_entries(),
+    EXPECT_EQ(tiled->packed(t).num_entries(),
               static_cast<int64_t>(tiled->slots(t).size()));
     for (const auto& slot : tiled->slots(t)) {
       rows_seen.insert(slot.row);

@@ -240,13 +240,16 @@ TEST_F(ImpalaPlanTest, DeserializeRejectsMalformedText) {
   expect_parse_error("not-a-plan version=1\n", "wrong magic");
 
   std::string wrong_version = good;
-  wrong_version.replace(wrong_version.find("version=2"), 9, "version=9");
+  wrong_version.replace(wrong_version.find("version=3"), 9, "version=9");
   expect_parse_error(wrong_version, "unknown version");
 
-  // Version 1 carried the probe_packed key; this build reads only 2.
-  std::string old_version = good;
-  old_version.replace(old_version.find("version=2"), 9, "version=1");
-  expect_parse_error(old_version, "version 1");
+  // Version 2 carried the probe_hilbert key and version 1 also
+  // probe_packed; this build reads only 3.
+  for (const char* old : {"version=2", "version=1"}) {
+    std::string old_version = good;
+    old_version.replace(old_version.find("version=3"), 9, old);
+    expect_parse_error(old_version, old);
+  }
 
   std::string unknown_kind = good;
   unknown_kind.replace(unknown_kind.find("begin scan"), 10, "begin scam");

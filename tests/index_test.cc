@@ -36,24 +36,24 @@ std::set<int64_t> BruteQuery(const std::vector<StrTree::Entry>& entries,
   return out;
 }
 
+std::vector<int64_t> VisitAll(const StrTree& tree, const Envelope& query) {
+  std::vector<int64_t> hits;
+  tree.VisitQuery(query, [&hits](int64_t id) { hits.push_back(id); });
+  return hits;
+}
+
 TEST(StrTreeTest, EmptyTree) {
   StrTree tree({});
-  std::vector<int64_t> hits;
-  tree.Query(Envelope(0, 0, 100, 100), &hits);
-  EXPECT_TRUE(hits.empty());
-  EXPECT_EQ(tree.NearestEnvelope(Point{0, 0}), -1);
+  EXPECT_TRUE(VisitAll(tree, Envelope(0, 0, 100, 100)).empty());
   EXPECT_EQ(tree.num_entries(), 0);
 }
 
 TEST(StrTreeTest, SingleEntry) {
   StrTree tree({StrTree::Entry{Envelope(1, 1, 2, 2), 42}});
-  std::vector<int64_t> hits;
-  tree.Query(Envelope(0, 0, 3, 3), &hits);
+  const std::vector<int64_t> hits = VisitAll(tree, Envelope(0, 0, 3, 3));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], 42);
-  hits.clear();
-  tree.Query(Envelope(5, 5, 6, 6), &hits);
-  EXPECT_TRUE(hits.empty());
+  EXPECT_TRUE(VisitAll(tree, Envelope(5, 5, 6, 6)).empty());
 }
 
 TEST(StrTreeTest, HeightGrowsLogarithmically) {
@@ -80,79 +80,15 @@ TEST_P(StrTreeProperty, QueryMatchesBruteForce) {
   StrTree tree(entries);
   EXPECT_EQ(tree.num_entries(), n);
   for (int trial = 0; trial < 50; ++trial) {
-    double x = rng.Uniform(0, 1000);
-    double y = rng.Uniform(0, 1000);
-    double w = rng.Uniform(0, 200);
-    Envelope query(x, y, x + w, y + w);
-    std::vector<int64_t> hits;
-    tree.Query(query, &hits);
-    std::set<int64_t> got(hits.begin(), hits.end());
-    EXPECT_EQ(got.size(), hits.size()) << "duplicate results";
-    EXPECT_EQ(got, BruteQuery(entries, query));
-  }
-}
-
-TEST_P(StrTreeProperty, WithinDistanceMatchesBruteForce) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 29);
-  auto entries = RandomEntries(&rng, 500, 1000.0);
-  StrTree tree(entries);
-  for (int trial = 0; trial < 30; ++trial) {
-    Point p{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
-    double d = rng.Uniform(0, 100);
-    std::vector<int64_t> hits;
-    tree.QueryWithinDistance(p, d, &hits);
-    // The filter is an envelope (box) filter: it must be a superset of the
-    // exact-distance matches and a subset of box matches.
-    Envelope box(p.x - d, p.y - d, p.x + d, p.y + d);
-    std::set<int64_t> got(hits.begin(), hits.end());
-    EXPECT_EQ(got, BruteQuery(entries, box));
-    for (const auto& e : entries) {
-      if (e.envelope.Distance(p) <= d) {
-        EXPECT_TRUE(got.count(e.id)) << "missed exact match " << e.id;
-      }
-    }
-  }
-}
-
-TEST_P(StrTreeProperty, VisitQueryMatchesQuery) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 37);
-  const int n = 50 + static_cast<int>(rng.UniformInt(2000));
-  auto entries = RandomEntries(&rng, n, 1000.0);
-  StrTree tree(entries);
-  for (int trial = 0; trial < 50; ++trial) {
+    // Queries may overhang the entries' extent on the low side.
     double x = rng.Uniform(-100, 1000);
     double y = rng.Uniform(-100, 1000);
     double w = rng.Uniform(0, 300);
     Envelope query(x, y, x + w, y + w);
-    // The statically dispatched visitor fast path must visit exactly the
-    // entries the std::function overload reports, in the same order.
-    std::vector<int64_t> via_function;
-    tree.Query(query, &via_function);
-    std::vector<int64_t> via_visitor;
-    tree.VisitQuery(query, [&via_visitor](int64_t id) {
-      via_visitor.push_back(id);
-    });
-    EXPECT_EQ(via_visitor, via_function);
-    std::set<int64_t> got(via_visitor.begin(), via_visitor.end());
+    const std::vector<int64_t> hits = VisitAll(tree, query);
+    std::set<int64_t> got(hits.begin(), hits.end());
+    EXPECT_EQ(got.size(), hits.size()) << "duplicate results";
     EXPECT_EQ(got, BruteQuery(entries, query));
-  }
-}
-
-TEST_P(StrTreeProperty, NearestMatchesBruteForce) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 41);
-  auto entries = RandomEntries(&rng, 300, 1000.0);
-  StrTree tree(entries);
-  for (int trial = 0; trial < 30; ++trial) {
-    Point p{rng.Uniform(-100, 1100), rng.Uniform(-100, 1100)};
-    int64_t got = tree.NearestEnvelope(p);
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& e : entries) {
-      best = std::min(best, e.envelope.Distance(p));
-    }
-    ASSERT_GE(got, 0);
-    // Any entry at the minimal distance is acceptable.
-    double got_dist = entries[static_cast<size_t>(got)].envelope.Distance(p);
-    EXPECT_DOUBLE_EQ(got_dist, best);
   }
 }
 

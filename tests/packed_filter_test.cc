@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <vector>
 
 #include "common/counters.h"
 #include "common/rng.h"
 #include "geom/envelope_batch.h"
-#include "geom/hilbert.h"
 #include "index/batch_prober.h"
 #include "index/packed_str_tree.h"
 #include "index/probe_options.h"
@@ -22,8 +20,6 @@ namespace {
 
 using geom::Envelope;
 using geom::EnvelopeBatch;
-using geom::HilbertEncoder;
-using geom::HilbertXy2d;
 using geom::Point;
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
@@ -215,48 +211,7 @@ TEST(PackedStrTreeTest, MemoryBytesGrowsWithEntries) {
 }
 
 // ---------------------------------------------------------------------------
-// Hilbert key properties.
-// ---------------------------------------------------------------------------
-
-TEST(HilbertTest, Xy2dIsABijectionOnTheGrid) {
-  const uint32_t order = 4;  // 16x16 grid
-  std::set<uint64_t> seen;
-  for (uint32_t y = 0; y < 16; ++y) {
-    for (uint32_t x = 0; x < 16; ++x) {
-      uint64_t d = HilbertXy2d(order, x, y);
-      EXPECT_LT(d, 256u);
-      EXPECT_TRUE(seen.insert(d).second) << "duplicate key at " << x << ","
-                                         << y;
-    }
-  }
-  EXPECT_EQ(seen.size(), 256u);
-}
-
-TEST(HilbertTest, EncoderHandlesDegenerateInputs) {
-  HilbertEncoder encoder(Envelope(0, 0, 100, 100));
-  EXPECT_EQ(encoder.Key(Envelope()), 0u);
-  EXPECT_EQ(encoder.Key(Envelope(kNan, kNan, kNan, kNan)), 0u);
-  // Centers outside the extent clamp instead of wrapping.
-  uint64_t far_key = encoder.Key(Envelope(1e9, 1e9, 1e9, 1e9));
-  uint64_t corner_key = encoder.Key(Envelope(100, 100, 100, 100));
-  EXPECT_EQ(far_key, corner_key);
-
-  // Degenerate extent: every key collapses to 0 (sort becomes a no-op).
-  HilbertEncoder flat(Envelope(5, 5, 5, 5));
-  EXPECT_EQ(flat.Key(Envelope(1, 1, 2, 2)), 0u);
-  HilbertEncoder invalid{Envelope()};
-  EXPECT_EQ(invalid.Key(Envelope(1, 1, 2, 2)), 0u);
-
-  // Nearby envelopes map to nearby curve positions more often than random
-  // pairs would — just check determinism and spread here.
-  EXPECT_EQ(encoder.Key(Envelope(10, 10, 12, 12)),
-            encoder.Key(Envelope(10, 10, 12, 12)));
-  EXPECT_NE(encoder.Key(Envelope(1, 1, 2, 2)),
-            encoder.Key(Envelope(90, 90, 95, 95)));
-}
-
-// ---------------------------------------------------------------------------
-// Batch driver: every knob combination replays the per-record sequence.
+// Batch driver: every batch size replays the per-record sequence.
 // ---------------------------------------------------------------------------
 
 TEST(BatchProberTest, AllKnobCombosReplayPerRecordSequence) {
@@ -278,8 +233,8 @@ TEST(BatchProberTest, AllKnobCombosReplayPerRecordSequence) {
   auto run = [&](const ProbeOptions& options) {
     std::vector<std::pair<int64_t, int64_t>> sequence;
     BatchStats stats;
-    RunBatchedProbes(static_cast<int64_t>(probes.size()), tree, &packed,
-                     options, envelope_at,
+    RunBatchedProbes(static_cast<int64_t>(probes.size()), packed, options,
+                     envelope_at,
                      [&](int64_t i, int64_t id) { sequence.emplace_back(i, id); },
                      &stats);
     EXPECT_EQ(stats.candidates, static_cast<int64_t>(sequence.size()));
@@ -295,13 +250,9 @@ TEST(BatchProberTest, AllKnobCombosReplayPerRecordSequence) {
   }
   ASSERT_FALSE(reference.empty());
   for (int batch_size : {1, 7, 64, 1024}) {
-    for (bool hilbert : {false, true}) {
-      ProbeOptions options;
-      options.batch_size = batch_size;
-      options.hilbert_sort = hilbert;
-      EXPECT_EQ(run(options), reference)
-          << "batch=" << batch_size << " hilbert=" << hilbert;
-    }
+    ProbeOptions options;
+    options.batch_size = batch_size;
+    EXPECT_EQ(run(options), reference) << "batch=" << batch_size;
   }
 }
 
@@ -371,23 +322,18 @@ TEST(ProbeOptionsJoinTest, ByteIdenticalAcrossKnobs) {
   EXPECT_FALSE(reference.empty());
 
   for (int batch_size : {1, 7, 256}) {
-    for (bool hilbert : {false, true}) {
-      for (bool sfilter : {false, true}) {
-        ProbeOptions options;
-        options.batch_size = batch_size;
-        options.hilbert_sort = hilbert;
-        options.sfilter = sfilter;
-        Counters counters;
-        auto pairs = join::BroadcastSpatialJoin(left, right, predicate,
-                                                &counters,
-                                                join::PrepareOptions(),
-                                                options);
-        EXPECT_EQ(pairs, reference)
-            << "batch=" << batch_size << " hilbert=" << hilbert
-            << " sfilter=" << sfilter;
-        EXPECT_GT(counters.Get("join.filter_batches"), 0);
-        EXPECT_GT(counters.Get("join.filter_candidates"), 0);
-      }
+    for (bool sfilter : {false, true}) {
+      ProbeOptions options;
+      options.batch_size = batch_size;
+      options.sfilter = sfilter;
+      Counters counters;
+      auto pairs = join::BroadcastSpatialJoin(left, right, predicate,
+                                              &counters,
+                                              join::PrepareOptions(), options);
+      EXPECT_EQ(pairs, reference)
+          << "batch=" << batch_size << " sfilter=" << sfilter;
+      EXPECT_GT(counters.Get("join.filter_batches"), 0);
+      EXPECT_GT(counters.Get("join.filter_candidates"), 0);
     }
   }
 }
@@ -399,17 +345,13 @@ TEST(ProbeOptionsJoinTest, ParallelMatchesSerialUnderAllKnobs) {
   const auto serial = join::BroadcastSpatialJoin(left, right, predicate);
   EXPECT_EQ(serial, ReferenceJoin(left, right, predicate));
 
-  for (bool hilbert : {false, true}) {
-    for (int threads : {1, 3, 8}) {
-      ProbeOptions options;
-      options.batch_size = 16;
-      options.hilbert_sort = hilbert;
-      auto parallel = join::ParallelBroadcastSpatialJoin(
-          left, right, predicate, threads, join::PrepareOptions(), nullptr,
-          options);
-      EXPECT_EQ(parallel, serial)
-          << "threads=" << threads << " hilbert=" << hilbert;
-    }
+  for (int threads : {1, 3, 8}) {
+    ProbeOptions options;
+    options.batch_size = 16;
+    auto parallel = join::ParallelBroadcastSpatialJoin(
+        left, right, predicate, threads, join::PrepareOptions(), nullptr,
+        options);
+    EXPECT_EQ(parallel, serial) << "threads=" << threads;
   }
 }
 

@@ -96,7 +96,6 @@ TEST_F(QueryServiceTest, ProbeOptionsShareOneCachedBuild) {
   Session* session = service->CreateSession();
   impala::QueryOptions tuned;
   tuned.probe.batch_size = 7;
-  tuned.probe.hilbert_sort = false;
   tuned.probe.sfilter = false;
 
   Result<QueryResponse> first = service->Execute(session, TaxiNycbSql());
