@@ -23,6 +23,15 @@
 
 namespace cloudjoin::bench {
 
+/// The flags a bench built on PaperBench accepts: PaperBench's own plus
+/// `own`, the ones the bench reads itself.
+inline std::vector<std::string> PaperBenchFlags(
+    std::vector<std::string> own) {
+  own.insert(own.end(),
+             {"scale", "seed", "partitions", "block_kb", "probe_batch"});
+  return own;
+}
+
 /// Shared harness for the paper-artifact benchmarks: materializes the §V.A
 /// workload suite once, runs each prototype system for real (measuring
 /// per-task compute), and replays the measurements on the paper's cluster

@@ -125,7 +125,8 @@ void Run(const Flags& flags) {
 }  // namespace cloudjoin::bench
 
 int main(int argc, char** argv) {
-  cloudjoin::Flags flags(argc, argv);
+  cloudjoin::Flags flags(
+      argc, argv, cloudjoin::bench::PaperBenchFlags({"skew", "tiles"}));
   cloudjoin::bench::Run(flags);
   return 0;
 }

@@ -122,7 +122,7 @@ ArmResult RunArm(dfs::SimFileSystem* fs, const join::TableInput& left,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"block_rows", "left", "right", "seed", "smoke"});
   const bool smoke = flags.GetBool("smoke", false);
   const int64_t left_n = flags.GetInt("left", smoke ? 8192 : 131072);
   const int64_t right_m = flags.GetInt("right", smoke ? 64 : 512);

@@ -166,7 +166,8 @@ void Run(const Flags& flags) {
 }  // namespace cloudjoin::bench
 
 int main(int argc, char** argv) {
-  cloudjoin::Flags flags(argc, argv);
+  cloudjoin::Flags flags(
+      argc, argv, cloudjoin::bench::PaperBenchFlags({"repeats"}));
   cloudjoin::bench::Run(flags);
   return 0;
 }

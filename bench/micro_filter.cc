@@ -206,7 +206,7 @@ void Run(const Flags& flags) {
 }  // namespace cloudjoin::bench
 
 int main(int argc, char** argv) {
-  cloudjoin::Flags flags(argc, argv);
+  cloudjoin::Flags flags(argc, argv, {"points", "entries", "repeat", "out"});
   cloudjoin::bench::Run(flags);
   return 0;
 }

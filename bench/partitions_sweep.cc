@@ -99,7 +99,8 @@ void Run(const Flags& flags) {
 }  // namespace cloudjoin::bench
 
 int main(int argc, char** argv) {
-  cloudjoin::Flags flags(argc, argv);
+  cloudjoin::Flags flags(
+      argc, argv, cloudjoin::bench::PaperBenchFlags({"nodes", "skew"}));
   cloudjoin::bench::Run(flags);
   return 0;
 }

@@ -237,7 +237,9 @@ void Run(const Flags& flags) {
 }  // namespace cloudjoin::bench
 
 int main(int argc, char** argv) {
-  cloudjoin::Flags flags(argc, argv);
+  cloudjoin::Flags flags(argc, argv,
+                         {"scale", "seed", "clients", "queries", "threads",
+                          "max_concurrent", "max_queue", "cache"});
   cloudjoin::bench::Run(flags);
   return 0;
 }

@@ -340,6 +340,7 @@ int Run(const Flags& flags) {
 }  // namespace cloudjoin::bench
 
 int main(int argc, char** argv) {
-  cloudjoin::Flags flags(argc, argv);
+  cloudjoin::Flags flags(argc, argv, {"scale", "seed", "events", "eps",
+                                      "burst", "check", "smoke"});
   return cloudjoin::bench::Run(flags);
 }

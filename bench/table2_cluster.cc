@@ -53,7 +53,8 @@ void Run(const Flags& flags) {
 }  // namespace cloudjoin::bench
 
 int main(int argc, char** argv) {
-  cloudjoin::Flags flags(argc, argv);
+  cloudjoin::Flags flags(
+      argc, argv, cloudjoin::bench::PaperBenchFlags({"breakdown", "nodes"}));
   cloudjoin::bench::Run(flags);
   return 0;
 }

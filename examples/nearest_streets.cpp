@@ -47,7 +47,7 @@ std::vector<join::IdGeometry> LoadGeometries(dfs::SimFileSystem* fs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"points", "streets"});
   const int64_t points = flags.GetInt("points", 20000);
   const int64_t streets = flags.GetInt("streets", 50000);
 

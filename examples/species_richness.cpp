@@ -20,7 +20,7 @@
 using namespace cloudjoin;
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"points", "regions", "top"});
   const int64_t points = flags.GetInt("points", 30000);
   const int regions = static_cast<int>(flags.GetInt("regions", 3000));
   const int top = static_cast<int>(flags.GetInt("top", 10));

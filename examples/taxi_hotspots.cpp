@@ -20,7 +20,7 @@
 using namespace cloudjoin;
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"points", "grid", "top"});
   const int64_t points = flags.GetInt("points", 40000);
   const int grid = static_cast<int>(flags.GetInt("grid", 40));
   const int top = static_cast<int>(flags.GetInt("top", 10));

@@ -30,7 +30,10 @@
 #include "common/flags.h"
 
 int main(int argc, char** argv) {
-  cloudjoin::Flags flags(argc, argv);
+  cloudjoin::Flags flags(
+      argc, argv,
+      {"seeds", "seed-base", "shrink", "verbose", "dfs", "service", "columnar",
+       "stream-seeds", "stream-seed-base", "sql-seeds", "sql-seed-base"});
   const int seeds = static_cast<int>(flags.GetInt("seeds", 50));
   const uint64_t base = static_cast<uint64_t>(flags.GetInt("seed-base", 1));
   const bool shrink = flags.GetBool("shrink", true);

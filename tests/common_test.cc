@@ -191,7 +191,8 @@ TEST(CountersTest, MergeAndCopy) {
 TEST(FlagsTest, ParsesKeyValueAndPositional) {
   const char* argv[] = {"prog", "--scale=2.5", "--nodes=10", "--verbose",
                         "input.txt"};
-  Flags flags(5, const_cast<char**>(argv));
+  Flags flags(5, const_cast<char**>(argv),
+              {"scale", "nodes", "verbose", "quiet", "missing"});
   EXPECT_DOUBLE_EQ(flags.GetDouble("scale", 1.0), 2.5);
   EXPECT_EQ(flags.GetInt("nodes", 1), 10);
   EXPECT_TRUE(flags.GetBool("verbose", false));
@@ -199,6 +200,22 @@ TEST(FlagsTest, ParsesKeyValueAndPositional) {
   EXPECT_EQ(flags.GetString("missing", "dflt"), "dflt");
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "input.txt");
+}
+
+TEST(FlagsDeathTest, UnknownFlagIsAUsageError) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* argv[] = {"prog", "--scale=2", "--hilbert=0"};
+  EXPECT_EXIT(Flags(3, const_cast<char**>(argv), {"scale", "seed"}),
+              ::testing::ExitedWithCode(2),
+              "unknown flag --hilbert\naccepted flags: --scale --seed");
+}
+
+TEST(FlagsDeathTest, UnparsableValueIsAUsageError) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* argv[] = {"prog", "--scale=big"};
+  const Flags flags(2, const_cast<char**>(argv), {"scale"});
+  EXPECT_EXIT(flags.GetDouble("scale", 1.0), ::testing::ExitedWithCode(2),
+              "--scale=big: not a number\naccepted flags: --scale");
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {
