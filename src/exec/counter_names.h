@@ -68,8 +68,10 @@ inline constexpr char kScanMalformed[] = "scan.malformed";
 /// Columnar scan accounting (text scans have no block structure and do
 /// not emit these): blocks whose zone-map was tested, blocks skipped
 /// entirely by the zone-map, rows whose envelopes entered the filter
-/// phase, and rows whose WKT payload was actually materialized (parsed)
-/// because at least one filter candidate survived.
+/// phase, and rows whose WKT payload was read out of a columnar block.
+/// The standalone probe reads the payload only for a row with a filter
+/// candidate; Impala's scan node reads it for every row whose WKT slot
+/// the query needs.
 inline constexpr char kScanBlocksTotal[] = "scan.blocks_total";
 inline constexpr char kScanBlocksPruned[] = "scan.blocks_pruned";
 inline constexpr char kScanRowsScanned[] = "scan.rows_scanned";
