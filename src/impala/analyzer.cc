@@ -1,7 +1,10 @@
 #include "impala/analyzer.h"
 
 #include <cctype>
+#include <memory>
+#include <utility>
 
+#include "common/logging.h"
 #include "common/strings.h"
 
 namespace cloudjoin::impala {
@@ -27,6 +30,30 @@ struct Scope {
   }
 };
 
+/// The LiteralExpr of an int, double or string literal node. The value is
+/// emplaced into a default-constructed Value: g++ 12 with the address and
+/// undefined sanitizers warns (-Wmaybe-uninitialized) about the variant's
+/// string member when it is brace-initialized from the literal.
+std::unique_ptr<Expr> ConvertLiteral(const AstExpr& ast) {
+  Value value;
+  ColumnType type = ColumnType::kString;
+  switch (ast.kind) {
+    case AstExpr::Kind::kIntLiteral:
+      value.emplace<int64_t>(ast.int_value);
+      type = ColumnType::kInt64;
+      break;
+    case AstExpr::Kind::kDoubleLiteral:
+      value.emplace<double>(ast.double_value);
+      type = ColumnType::kDouble;
+      break;
+    default:
+      CLOUDJOIN_DCHECK(ast.kind == AstExpr::Kind::kStringLiteral);
+      value.emplace<std::string>(ast.string_value);
+      break;
+  }
+  return std::make_unique<LiteralExpr>(std::move(value), type);
+}
+
 /// Converts an AST expression into an executable Expr, resolving column
 /// refs. `sides_mask` accumulates bit 1 (left) / bit 2 (right) for every
 /// slot referenced.
@@ -35,14 +62,9 @@ Result<std::unique_ptr<Expr>> ConvertExpr(const AstExpr& ast,
                                           int* sides_mask) {
   switch (ast.kind) {
     case AstExpr::Kind::kIntLiteral:
-      return std::unique_ptr<Expr>(
-          new LiteralExpr(Value{ast.int_value}, ColumnType::kInt64));
     case AstExpr::Kind::kDoubleLiteral:
-      return std::unique_ptr<Expr>(
-          new LiteralExpr(Value{ast.double_value}, ColumnType::kDouble));
     case AstExpr::Kind::kStringLiteral:
-      return std::unique_ptr<Expr>(
-          new LiteralExpr(Value{ast.string_value}, ColumnType::kString));
+      return ConvertLiteral(ast);
     case AstExpr::Kind::kColumnRef: {
       bool try_left = true;
       bool try_right = scope.right != nullptr;
@@ -235,14 +257,9 @@ Result<std::unique_ptr<Expr>> ConvertAggOutputExpr(
     AnalyzedQuery* query) {
   switch (ast.kind) {
     case AstExpr::Kind::kIntLiteral:
-      return std::unique_ptr<Expr>(
-          new LiteralExpr(Value{ast.int_value}, ColumnType::kInt64));
     case AstExpr::Kind::kDoubleLiteral:
-      return std::unique_ptr<Expr>(
-          new LiteralExpr(Value{ast.double_value}, ColumnType::kDouble));
     case AstExpr::Kind::kStringLiteral:
-      return std::unique_ptr<Expr>(
-          new LiteralExpr(Value{ast.string_value}, ColumnType::kString));
+      return ConvertLiteral(ast);
     case AstExpr::Kind::kBinary: {
       CLOUDJOIN_ASSIGN_OR_RETURN(
           std::unique_ptr<Expr> lhs,
