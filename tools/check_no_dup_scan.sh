@@ -82,6 +82,19 @@
 #      in src/ only in src/exec/counter_names.h and
 #      src/stream/counter_names.h. A counter name spelled out elsewhere
 #      can drift from the taxonomy the engines, tests and benches share.
+#
+# Every probe filters through the packed tree (index::PackedStrTree); the
+# pointer index::StrTree is only the STR builder it is copied from and the
+# VisitQuery reference walk that tests and benches compare against:
+#
+#  12. Outside src/index/, the type StrTree (not StrTree::Entry, not
+#      PackedStrTree) may be named only by the right-side builders:
+#      src/exec/built_right.h, src/exec/right_builder.cc and
+#      src/exec/tiled_right.cc. Inside src/index/, a StrTree& parameter
+#      may appear only in the tree itself, the layout and sFilter builds
+#      that read it, and once in src/index/batch_prober.h: the
+#      RunBatchedProbes forwarder the end-to-end benchmark still calls. A
+#      driver or engine taking the pointer tree is a second probe path.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -146,7 +159,28 @@ check "counter name spelled outside the counter-name headers" \
   '"\(join\|scan\|stream\|plan\)\.' \
   "^src/(exec|stream)/counter_names\.h$"
 
+builders='^src/(index/|exec/(built_right\.h|right_builder\.cc|tiled_right\.cc)$)'
+hits=$(grep -rlP '(?<!Packed)StrTree(?!::Entry)' src --include='*.cc' \
+    --include='*.h' | grep -Ev "$builders" || true)
+if [ -n "$hits" ]; then
+  echo "FAIL: the pointer StrTree named outside the right-side builders:" >&2
+  echo "$hits" | sed 's/^/  /' >&2
+  echo "Probe through index::PackedStrTree (see" \
+    "tools/check_no_dup_scan.sh)." >&2
+  fail=1
+fi
+readers='^src/index/(str_tree\.h|packed_str_tree\.(h|cc)|sfilter\.(h|cc)):'
+hits=$(grep -rnP '(?<!Packed)StrTree&' src/index --include='*.cc' \
+    --include='*.h' | grep -Ev "$readers" || true)
+if [ "$(echo "$hits" | grep -c '^src/index/batch_prober\.h:')" -ne 1 ] ||
+    [ "$(echo "$hits" | grep -c .)" -ne 1 ]; then
+  echo "FAIL: a probe function under src/index/ takes the pointer StrTree" \
+    "(only the RunBatchedProbes forwarder may):" >&2
+  echo "$hits" | sed 's/^/  /' >&2
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
-  echo "check_no_dup_scan: OK (one scan loop, one parse entry point, one probe driver, one tiled probe, one counter taxonomy)"
+  echo "check_no_dup_scan: OK (one scan loop, one parse entry point, one probe driver, one tiled probe, one counter taxonomy, one probe-time index)"
 fi
 exit "$fail"
