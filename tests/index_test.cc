@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "index/packed_str_tree.h"
 #include "index/sfilter.h"
 #include "index/spatial_partitioner.h"
 #include "index/str_tree.h"
@@ -80,14 +81,39 @@ TEST_P(StrTreeProperty, QueryMatchesBruteForce) {
   StrTree tree(entries);
   EXPECT_EQ(tree.num_entries(), n);
   for (int trial = 0; trial < 50; ++trial) {
+    double x = rng.Uniform(0, 1000);
+    double y = rng.Uniform(0, 1000);
+    double w = rng.Uniform(0, 200);
+    Envelope query(x, y, x + w, y + w);
+    const std::vector<int64_t> hits = VisitAll(tree, query);
+    std::set<int64_t> got(hits.begin(), hits.end());
+    EXPECT_EQ(got.size(), hits.size()) << "duplicate results";
+    EXPECT_EQ(got, BruteQuery(entries, query));
+  }
+}
+
+TEST_P(StrTreeProperty, VisitQueryMatchesQuery) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 37);
+  const int n = 50 + static_cast<int>(rng.UniformInt(2000));
+  auto entries = RandomEntries(&rng, n, 1000.0);
+  StrTree tree(entries);
+  PackedStrTree packed(tree);
+  for (int trial = 0; trial < 50; ++trial) {
     // Queries may overhang the entries' extent on the low side.
     double x = rng.Uniform(-100, 1000);
     double y = rng.Uniform(-100, 1000);
     double w = rng.Uniform(0, 300);
     Envelope query(x, y, x + w, y + w);
-    const std::vector<int64_t> hits = VisitAll(tree, query);
-    std::set<int64_t> got(hits.begin(), hits.end());
-    EXPECT_EQ(got.size(), hits.size()) << "duplicate results";
+    // The reference walk must visit exactly the entries the probe path's
+    // packed query reports, in the same order.
+    const std::vector<int64_t> via_visitor = VisitAll(tree, query);
+    std::vector<int64_t> via_packed;
+    packed.VisitQuery(query, [&via_packed](int64_t id) {
+      via_packed.push_back(id);
+    });
+    EXPECT_EQ(via_visitor, via_packed);
+    std::set<int64_t> got(via_visitor.begin(), via_visitor.end());
+    EXPECT_EQ(got.size(), via_visitor.size()) << "duplicate results";
     EXPECT_EQ(got, BruteQuery(entries, query));
   }
 }
