@@ -1,6 +1,8 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 
 #include "common/logging.h"
 
@@ -63,18 +65,38 @@ void ThreadPool::WorkerLoop() {
 void ParallelFor(ThreadPool* pool, int64_t n,
                  const std::function<void(int64_t)>& fn) {
   if (n <= 0) return;
-  const int workers = pool->num_threads();
-  std::atomic<int64_t> next{0};
-  for (int w = 0; w < workers; ++w) {
-    pool->Submit([&next, n, &fn] {
-      while (true) {
-        int64_t i = next.fetch_add(1);
-        if (i >= n) return;
-        fn(i);
-      }
-    });
+  if (pool == nullptr || n == 1) {
+    for (int64_t i = 0; i < n; ++i) fn(i);
+    return;
   }
-  pool->Wait();
+  // A helper may start after the caller has returned, so it shares the
+  // claim counter with it; it reads `fn` only for an item it claimed,
+  // which the caller is still waiting on.
+  struct Shared {
+    std::atomic<int64_t> next{0};
+    std::mutex mu;
+    std::condition_variable done_cv;
+    int64_t done = 0;
+  };
+  auto shared = std::make_shared<Shared>();
+  auto drain = [n](Shared* s, const std::function<void(int64_t)>* f) {
+    int64_t finished = 0;
+    for (int64_t i = s->next.fetch_add(1); i < n; i = s->next.fetch_add(1)) {
+      (*f)(i);
+      ++finished;
+    }
+    if (finished == 0) return;
+    std::lock_guard<std::mutex> lock(s->mu);
+    s->done += finished;
+    if (s->done == n) s->done_cv.notify_all();
+  };
+  const int64_t helpers = std::min<int64_t>(pool->num_threads(), n - 1);
+  for (int64_t h = 0; h < helpers; ++h) {
+    pool->Submit([shared, drain, f = &fn] { drain(shared.get(), f); });
+  }
+  drain(shared.get(), &fn);
+  std::unique_lock<std::mutex> lock(shared->mu);
+  shared->done_cv.wait(lock, [&] { return shared->done == n; });
 }
 
 }  // namespace cloudjoin

@@ -27,7 +27,8 @@ class ThreadPool {
   /// Enqueues `fn` for execution.
   void Submit(std::function<void()> fn);
 
-  /// Blocks until all submitted work has completed.
+  /// Blocks until all submitted work has completed, whoever submitted it.
+  /// Never call it from a pool task: the waiting task counts as active.
   void Wait();
 
   int num_threads() const { return static_cast<int>(threads_.size()); }
@@ -44,7 +45,13 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
-/// Runs fn(i) for i in [0, n) on `pool`, blocking until done.
+/// Runs fn(i) for every i in [0, n) and returns once all n calls have
+/// finished. The calling thread runs items itself, helped by at most
+/// `pool->num_threads()` pool tasks that claim items from a shared counter.
+/// It waits only for items a helper has claimed, never for the pool's
+/// other work, so two callers sharing one pool each return after their
+/// own items, and a call made from inside a pool task completes even when
+/// every worker is busy. A null pool runs every item inline, in order.
 void ParallelFor(ThreadPool* pool, int64_t n,
                  const std::function<void(int64_t)>& fn);
 

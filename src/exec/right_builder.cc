@@ -127,15 +127,8 @@ BuiltRight RightIndexBuilder::Finish(Counters* counters,
             std::make_unique<geom::PreparedPolygon>(g, prepare_.grid_side);
       }
     };
-    if (prepare_.pool != nullptr) {
-      ParallelFor(prepare_.pool,
-                  static_cast<int64_t>(built_.records.size()), prepare_one);
-    } else {
-      for (int64_t i = 0; i < static_cast<int64_t>(built_.records.size());
-           ++i) {
-        prepare_one(i);
-      }
-    }
+    ParallelFor(prepare_.pool, static_cast<int64_t>(built_.records.size()),
+                prepare_one);
     if (prepare_seconds != nullptr) {
       *prepare_seconds = prepare_watch.ElapsedSeconds();
     }

@@ -33,10 +33,13 @@ std::vector<IdPair> ParallelBroadcastSpatialJoin(
     const PrepareOptions& prepare, Counters* counters,
     const ProbeOptions& probe) {
   CLOUDJOIN_CHECK(num_threads >= 1);
-  ThreadPool pool(num_threads);
+  // The calling thread works through ParallelFor too, so num_threads
+  // running threads need num_threads - 1 helpers (none at 1: inline).
+  std::unique_ptr<ThreadPool> pool;
+  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads - 1);
   PrepareOptions pooled_prepare = prepare;
   if (pooled_prepare.enabled && pooled_prepare.pool == nullptr) {
-    pooled_prepare.pool = &pool;
+    pooled_prepare.pool = pool.get();
   }
   BroadcastIndex index(std::move(right), predicate.FilterRadius(),
                        pooled_prepare);
@@ -56,7 +59,7 @@ std::vector<IdPair> ParallelBroadcastSpatialJoin(
   std::vector<std::vector<IdPair>> shard_out(
       static_cast<size_t>(num_shards));
   std::vector<ProbeStats> shard_stats(static_cast<size_t>(num_shards));
-  ParallelFor(&pool, num_shards, [&](int64_t shard) {
+  ParallelFor(pool.get(), num_shards, [&](int64_t shard) {
     const int64_t begin = shard * shard_size;
     const int64_t end = std::min(n, begin + shard_size);
     auto* shard_pairs = &shard_out[static_cast<size_t>(shard)];

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/counters.h"
@@ -233,6 +235,68 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
   std::vector<std::atomic<int>> hits(50);
   ParallelFor(&pool, 50, [&hits](int64_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelForRunsEachItemOnceWithOrWithoutAPool) {
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (int64_t n : {0, 1, 2, 100}) {
+      std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+      ParallelFor(p, n, [&hits](int64_t i) { hits[i].fetch_add(1); });
+      for (auto& h : hits) {
+        EXPECT_EQ(h.load(), 1) << "n=" << n << " pooled=" << (p != nullptr);
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForWithoutAPoolRunsInlineInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int64_t> order;
+  bool all_on_caller = true;
+  ParallelFor(nullptr, 5, [&](int64_t i) {
+    order.push_back(i);
+    all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+  });
+  EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(all_on_caller);
+}
+
+TEST(ThreadPoolTest, ConcurrentParallelForCallersReturnAfterTheirOwnItems) {
+  // B's items hold both workers until A has returned. A must not wait for
+  // them: its caller runs A's items itself and returns.
+  ThreadPool pool(2);
+  std::atomic<int> b_running{0};
+  std::atomic<bool> a_returned{false};
+  std::vector<std::atomic<int>> a_hits(20);
+  std::vector<std::atomic<int>> b_hits(20);
+  std::thread b([&] {
+    ParallelFor(&pool, 20, [&](int64_t i) {
+      b_running.fetch_add(1);
+      while (!a_returned.load()) std::this_thread::yield();
+      b_hits[i].fetch_add(1);
+    });
+  });
+  // B's caller and its two helpers are all inside B's items.
+  while (b_running.load() < 3) std::this_thread::yield();
+  ParallelFor(&pool, 20, [&a_hits](int64_t i) { a_hits[i].fetch_add(1); });
+  for (auto& h : a_hits) EXPECT_EQ(h.load(), 1);
+  a_returned.store(true);
+  b.join();
+  for (auto& h : b_hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelForFromInsideAPoolTaskCompletes) {
+  // The task holds the pool's only worker, so its helper never starts.
+  ThreadPool pool(1);
+  std::atomic<int64_t> sum{0};
+  std::promise<void> done;
+  pool.Submit([&] {
+    ParallelFor(&pool, 10, [&sum](int64_t i) { sum.fetch_add(i); });
+    done.set_value();
+  });
+  done.get_future().wait();
+  EXPECT_EQ(sum.load(), 45);
 }
 
 TEST(StopwatchTest, MeasuresElapsed) {
