@@ -27,13 +27,17 @@ bool isLinear(const Geometry* g) {
 
 }  // namespace
 
+Geometry::~Geometry() { delete envelope_.load(); }
+
 const geom::Envelope& Geometry::getEnvelopeInternal() const {
-  if (envelope_ == nullptr) {
-    auto env = std::make_unique<geom::Envelope>();
-    computeEnvelope(env.get());
-    envelope_ = std::move(env);
+  const geom::Envelope* cached = envelope_.load();
+  if (cached != nullptr) return *cached;
+  auto computed = std::make_unique<geom::Envelope>();
+  computeEnvelope(computed.get());
+  if (envelope_.compare_exchange_strong(cached, computed.get())) {
+    return *computed.release();
   }
-  return *envelope_;
+  return *cached;  // another thread won; `cached` now holds its envelope
 }
 
 bool Geometry::within(const Geometry* other) const {

@@ -1,6 +1,7 @@
 #ifndef CLOUDJOIN_GEOSIM_GEOMETRY_H_
 #define CLOUDJOIN_GEOSIM_GEOMETRY_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,13 +29,18 @@ class GeometryFactory;
 /// the flat `geom::Geometry` value type, by design (see coordinate.h).
 class Geometry {
  public:
-  virtual ~Geometry() = default;
+  Geometry() = default;
+  Geometry(const Geometry&) = delete;
+  Geometry& operator=(const Geometry&) = delete;
+  virtual ~Geometry();
 
   virtual GeometryTypeId getGeometryTypeId() const = 0;
   virtual std::size_t getNumPoints() const = 0;
   virtual bool isEmpty() const { return getNumPoints() == 0; }
 
-  /// Lazily computed envelope (cached, as in GEOS).
+  /// Lazily computed envelope (cached, as in GEOS). Safe to call from
+  /// several threads at once: a broadcast right side's parsed geometries
+  /// are shared by concurrent queries and fragment instances.
   const geom::Envelope& getEnvelopeInternal() const;
 
   /// OGC `this WITHIN other`. Supported combinations match
@@ -56,7 +62,9 @@ class Geometry {
   virtual void computeEnvelope(geom::Envelope* out) const = 0;
 
  private:
-  mutable std::unique_ptr<geom::Envelope> envelope_;
+  /// Owned; set once by compare-and-swap. A thread that loses the race
+  /// frees its own copy and returns the winner's.
+  mutable std::atomic<const geom::Envelope*> envelope_{nullptr};
 };
 
 /// Point.
