@@ -90,11 +90,11 @@ class HdfsScanNode final : public ExecNode {
   bool col_block_loaded_ = false;
 };
 
-/// The broadcast right side of a join, shared (read-only) by all fragment
-/// instances: the execution core's BuiltRight (WKT + STR-tree + optional
-/// prepared grids) plus the Impala-specific retentions — the materialized
-/// rows the join output projects from, and the parsed-geometry ablation
-/// cache.
+/// The broadcast right side of a join, shared (read-only, possibly from
+/// several threads at once) by all fragment instances: the execution
+/// core's BuiltRight (WKT + STR-tree + optional prepared grids) plus the
+/// Impala-specific retentions — the materialized rows the join output
+/// projects from, and the parsed-geometry ablation cache.
 ///
 /// This models ISP-MC's behaviour: each Impala instance receives all right
 /// row batches and builds an in-memory R-tree before probing starts.
@@ -136,11 +136,11 @@ Result<std::unique_ptr<BroadcastRight>> BuildBroadcastRight(
 /// only in the one tile that owns it, so the match *set* and the probe
 /// counts equal the broadcast probe's (row order differs: tile-major vs
 /// row-major — no ORDER BY = no ordering contract). Per-tile compute is
-/// metered into `tile_seconds` (one slot per tile, accumulated across all
-/// fragment instances); the runtime reports those as separate join tasks
-/// and deducts them from the enclosing scan range's timing, which is what
-/// lets a simulated cluster schedule hot tiles independently of the scan
-/// ranges that produced them. Probe counts accumulate in one ProbeStats
+/// metered into `tile_seconds` (one slot per tile, one vector per
+/// fragment instance, summed by the coordinator); the runtime reports
+/// those as separate join tasks and deducts them from the enclosing scan
+/// range's timing, which is what lets a simulated cluster schedule hot
+/// tiles independently of the scan ranges that produced them. Probe counts accumulate in one ProbeStats
 /// across all left batches, flushed into `counters` once at eos.
 class SpatialJoinNode final : public ExecNode {
  public:

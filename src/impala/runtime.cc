@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <set>
 #include <utility>
 
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "exec/counter_names.h"
 #include "exec/tiled_right.h"
 #include "impala/analyzer.h"
@@ -281,18 +283,21 @@ Result<std::string> ImpalaRuntime::Explain(const std::string& sql) const {
 }
 
 Result<QueryResult> ImpalaRuntime::Execute(const std::string& sql,
-                                           const QueryOptions& options) {
+                                           const QueryOptions& options,
+                                           ThreadPool* pool) {
   CpuTimer frontend_watch;
   CLOUDJOIN_ASSIGN_OR_RETURN(QueryPlan plan, Plan(sql, options));
   const double frontend_seconds = frontend_watch.ElapsedSeconds();
   CLOUDJOIN_ASSIGN_OR_RETURN(
-      QueryResult result, ExecutePlan(plan, options.broadcast_provider));
+      QueryResult result,
+      ExecutePlan(plan, options.broadcast_provider, pool));
   result.metrics.frontend_seconds = frontend_seconds;
   return result;
 }
 
 Result<QueryResult> ImpalaRuntime::ExecutePlan(const QueryPlan& plan,
-                                               BroadcastProvider* provider) {
+                                               BroadcastProvider* provider,
+                                               ThreadPool* pool) {
   QueryResult result;
   CLOUDJOIN_ASSIGN_OR_RETURN(PlanShape shape, ResolveShape(plan));
   CLOUDJOIN_RETURN_IF_ERROR(shape.leaf->probe.Validate());
@@ -422,16 +427,22 @@ Result<QueryResult> ImpalaRuntime::ExecutePlan(const QueryPlan& plan,
       left_table->format == exec::TableFormat::kColumnar) {
     scan_region = &right->tree->bounds();
   }
-  // Partitioned spatial join: per-tile compute accumulates here across all
-  // fragment instances, is deducted from the enclosing scan ranges'
-  // timings, and is reported as separate join tasks (the tile tasks a
-  // simulated cluster schedules on its own terms).
-  std::vector<double> tile_seconds(
-      tiled != nullptr ? static_cast<size_t>(tiled->num_tiles()) : 0, 0.0);
-  for (const dfs::BlockInfo& block : left_file->blocks()) {
+  // Each instance fills its own slot, so instances may run concurrently.
+  // Under the partitioned strategy its per-tile compute is deducted from
+  // its range's timing and reported as separate join tasks (the tile
+  // tasks a simulated cluster schedules on its own terms).
+  struct Fragment {
+    Status status;
+    std::vector<Row> rows;
+    ScanRangeTiming timing;
+    std::vector<double> tile_seconds;
+  };
+  const size_t num_tiles =
+      tiled != nullptr ? static_cast<size_t>(tiled->num_tiles()) : 0;
+  auto run_fragment = [&](const dfs::BlockInfo& block,
+                          Fragment* fragment) -> Status {
     CpuTimer range_watch;
-    double tiles_before = 0.0;
-    for (double s : tile_seconds) tiles_before += s;
+    fragment->tile_seconds.assign(num_tiles, 0.0);
     std::unique_ptr<ExecNode> scan = MakeScanExecNode(
         *shape.left_scan, left_table, left_file, block.offset, block.length,
         &result.metrics.counters, scan_region);
@@ -441,7 +452,8 @@ Result<QueryResult> ImpalaRuntime::ExecutePlan(const QueryPlan& plan,
     } else {
       tree = MakeJoinExecNode(*shape.leaf, std::move(scan), right.get(),
                               tiled.get(), &output_exprs,
-                              &result.metrics.counters, &tile_seconds);
+                              &result.metrics.counters,
+                              &fragment->tile_seconds);
     }
 
     CLOUDJOIN_RETURN_IF_ERROR(tree->Open());
@@ -450,28 +462,44 @@ Result<QueryResult> ImpalaRuntime::ExecutePlan(const QueryPlan& plan,
     while (!eos) {
       CLOUDJOIN_RETURN_IF_ERROR(tree->GetNext(&batch, &eos));
       for (Row& row : batch.rows()) {
-        result.rows.push_back(std::move(row));
+        fragment->rows.push_back(std::move(row));
       }
     }
     tree->Close();
 
-    ScanRangeTiming timing;
-    timing.seconds = range_watch.ElapsedSeconds();
-    if (tiled != nullptr) {
-      // The join-tile compute this range performed is accounted to the
-      // tile tasks, not the scan fragment.
-      double tiles_after = 0.0;
-      for (double s : tile_seconds) tiles_after += s;
-      timing.seconds =
-          std::max(0.0, timing.seconds - (tiles_after - tiles_before));
-    }
-    timing.preferred_node =
+    double tile_total = 0.0;
+    for (double s : fragment->tile_seconds) tile_total += s;
+    fragment->timing.seconds =
+        std::max(0.0, range_watch.ElapsedSeconds() - tile_total);
+    fragment->timing.preferred_node =
         block.replica_nodes.empty() ? -1 : block.replica_nodes[0];
-    timing.bytes = block.length;
-    result.metrics.scan_tasks.push_back(timing);
+    fragment->timing.bytes = block.length;
+    return Status::OK();
+  };
+  const std::vector<dfs::BlockInfo>& blocks = left_file->blocks();
+  std::vector<Fragment> fragments(blocks.size());
+  ParallelFor(pool, static_cast<int64_t>(blocks.size()), [&](int64_t b) {
+    const size_t i = static_cast<size_t>(b);
+    fragments[i].status = run_fragment(blocks[i], &fragments[i]);
+  });
+
+  // ---- Coordinator: merge the instances in block order, as a serial run
+  // would have produced them; the first failing range decides. ----
+  size_t total_rows = 0;
+  for (const Fragment& fragment : fragments) {
+    CLOUDJOIN_RETURN_IF_ERROR(fragment.status);
+    total_rows += fragment.rows.size();
   }
-  if (tiled != nullptr) {
-    result.metrics.join_task_seconds = std::move(tile_seconds);
+  result.rows.reserve(total_rows);
+  result.metrics.scan_tasks.reserve(fragments.size());
+  result.metrics.join_task_seconds.assign(num_tiles, 0.0);
+  for (Fragment& fragment : fragments) {
+    std::move(fragment.rows.begin(), fragment.rows.end(),
+              std::back_inserter(result.rows));
+    result.metrics.scan_tasks.push_back(fragment.timing);
+    for (size_t t = 0; t < num_tiles; ++t) {
+      result.metrics.join_task_seconds[t] += fragment.tile_seconds[t];
+    }
   }
 
   // ---- Coordinator: aggregation merge. ----

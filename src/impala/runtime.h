@@ -16,6 +16,10 @@
 #include "impala/types.h"
 #include "plan/planner.h"
 
+namespace cloudjoin {
+class ThreadPool;
+}  // namespace cloudjoin
+
 namespace cloudjoin::impala {
 
 struct BroadcastRight;
@@ -116,9 +120,15 @@ struct QueryResult {
 
 /// The end-to-end engine: SQL in, rows out (the ISP-MC coordinator role).
 ///
-/// Execution is real and single-threaded per scan range; per-range
-/// durations land in `QueryMetrics::scan_tasks` so `sim::SimulateStatic`
-/// can replay them under Impala's static scheduling on any cluster spec.
+/// The coordinator runs on the calling thread: it plans, builds or
+/// resolves the broadcast right side, and merges the output. Each left
+/// scan range is one fragment instance, run single-threaded; given a
+/// `pool`, the instances run concurrently on the caller plus the pool's
+/// workers, each into its own slot, and the coordinator concatenates the
+/// slots in block order, so rows, their order, counters and task lists
+/// equal a serial run's. Each range's thread CPU seconds land in
+/// `QueryMetrics::scan_tasks` so `sim::SimulateStatic` can replay them
+/// under Impala's static scheduling on any cluster spec.
 class ImpalaRuntime {
  public:
   /// `fs` must outlive the runtime.
@@ -138,13 +148,20 @@ class ImpalaRuntime {
   /// whose format or width has since changed fails with
   /// `kInvalidArgument` instead of scanning the wrong layout.
   /// `provider` (optional, not owned) resolves the broadcast build.
+  /// `pool` (optional, not owned, may be shared by concurrent queries)
+  /// runs the fragment instances alongside the caller; without one they
+  /// run one after another. Like `provider`, it names a process-local
+  /// resource, so it is never part of the plan.
   Result<QueryResult> ExecutePlan(const QueryPlan& plan,
-                                  BroadcastProvider* provider = nullptr);
+                                  BroadcastProvider* provider = nullptr,
+                                  ThreadPool* pool = nullptr);
 
   /// Parses, plans, and executes `sql`: `Plan` (timed as
-  /// `frontend_seconds`) followed by `ExecutePlan`.
+  /// `frontend_seconds`) followed by `ExecutePlan` with
+  /// `options.broadcast_provider` and `pool`.
   Result<QueryResult> Execute(const std::string& sql,
-                              const QueryOptions& options = QueryOptions());
+                              const QueryOptions& options = QueryOptions(),
+                              ThreadPool* pool = nullptr);
 
   /// Returns the EXPLAIN rendering of `sql` without executing it.
   Result<std::string> Explain(const std::string& sql) const;

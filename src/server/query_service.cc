@@ -1,7 +1,5 @@
 #include "server/query_service.h"
 
-#include <algorithm>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -41,7 +39,7 @@ QueryService::QueryService(dfs::SimFileSystem* fs,
       system_(fs),
       admission_(options.admission),
       cache_(options.cache),
-      pool_(std::max(options.num_threads, options.admission.max_concurrent)),
+      pool_(options.num_threads),
       provider_(std::make_unique<CachingProvider>(&cache_)) {}
 
 QueryService::~QueryService() = default;
@@ -66,19 +64,6 @@ Result<const impala::TableDef*> QueryService::RegisterTable(
   return def;
 }
 
-Result<impala::QueryResult> QueryService::RunOnPool(const EngineFn& run) {
-  auto promise =
-      std::make_shared<std::promise<Result<impala::QueryResult>>>();
-  std::future<Result<impala::QueryResult>> future = promise->get_future();
-  impala::BroadcastProvider* provider =
-      options_.enable_cache ? provider_.get() : nullptr;
-  pool_.Submit([this, run, provider, promise] {
-    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-    promise->set_value(run(system_.runtime(), provider));
-  });
-  return future.get();
-}
-
 Result<QueryResponse> QueryService::Execute(Session* session,
                                             const std::string& sql) {
   CLOUDJOIN_CHECK(session != nullptr);
@@ -89,11 +74,12 @@ Result<QueryResponse> QueryService::Execute(
     Session* session, const std::string& sql,
     const impala::QueryOptions& options) {
   return ExecuteInternal(
-      session, [sql, options](impala::ImpalaRuntime* runtime,
-                              impala::BroadcastProvider* provider) {
+      session, [&sql, &options](impala::ImpalaRuntime* runtime,
+                                impala::BroadcastProvider* provider,
+                                ThreadPool* pool) {
         impala::QueryOptions effective = options;
         effective.broadcast_provider = provider;
-        return runtime->Execute(sql, effective);
+        return runtime->Execute(sql, effective, pool);
       });
 }
 
@@ -103,12 +89,10 @@ Result<QueryResponse> QueryService::ExecutePlan(Session* session,
   // client error (kParseError) and never consumes an admission slot.
   Result<impala::QueryPlan> plan = impala::DeserializePlan(plan_text);
   if (!plan.ok()) return plan.status();
-  auto shared_plan =
-      std::make_shared<const impala::QueryPlan>(std::move(plan).value());
   return ExecuteInternal(
-      session, [shared_plan](impala::ImpalaRuntime* runtime,
-                             impala::BroadcastProvider* provider) {
-        return runtime->ExecutePlan(*shared_plan, provider);
+      session, [&plan](impala::ImpalaRuntime* runtime,
+                       impala::BroadcastProvider* provider, ThreadPool* pool) {
+        return runtime->ExecutePlan(*plan, provider, pool);
       });
 }
 
@@ -127,8 +111,14 @@ Result<QueryResponse> QueryService::ExecuteInternal(Session* session,
   }
   AdmissionController::Ticket ticket = std::move(ticket_result).value();
 
+  // The coordinator runs here, on the client's thread; its fragment
+  // instances run alongside it on the shared pool.
   Stopwatch exec_watch;
-  Result<impala::QueryResult> result = RunOnPool(run);
+  std::shared_lock<std::shared_mutex> catalog_lock(catalog_mu_);
+  Result<impala::QueryResult> result =
+      run(system_.runtime(), options_.enable_cache ? provider_.get() : nullptr,
+          &pool_);
+  catalog_lock.unlock();
   const double exec_seconds = exec_watch.ElapsedSeconds();
   ticket.Release();
   if (!result.ok()) {

@@ -25,9 +25,10 @@ namespace cloudjoin::server {
 
 /// Configuration of one `QueryService`.
 struct ServiceOptions {
-  /// Workers of the shared execution pool. Each admitted query occupies
-  /// exactly one worker for its whole run, so this should be at least
-  /// `admission.max_concurrent` (it is clamped up to that).
+  /// Fragment workers shared by all queries (at least 1). Each admitted
+  /// query runs its coordinator on the calling thread and its scan ranges
+  /// on that thread plus these workers, so a busy service keeps up to
+  /// `admission.max_concurrent` + `num_threads` threads running.
   int num_threads = 4;
   AdmissionController::Options admission;
   BroadcastIndexCache::Options cache;
@@ -92,9 +93,10 @@ struct ServiceStats {
 /// The serving layer in front of the ISP-MC engine: a long-lived,
 /// thread-safe service that accepts concurrent SQL spatial-join queries
 /// from multiple sessions, bounds concurrency through admission control,
-/// executes on a shared worker pool, and retains built broadcast indexes
-/// across queries so repeated joins against a hot right side skip the
-/// build phase entirely.
+/// runs each admitted query's coordinator on the client's thread and its
+/// fragment instances on a shared worker pool, and retains built
+/// broadcast indexes across queries so repeated joins against a hot right
+/// side skip the build phase entirely.
 ///
 /// The paper's prototypes run one query per process; this module adds the
 /// "query service" deployment mode its Cloud setting implies: many
@@ -124,8 +126,9 @@ class QueryService {
   Result<const impala::TableDef*> RegisterTable(const std::string& name,
                                                 const join::TableInput& input);
 
-  /// Runs `sql` under `session`'s default options. Blocks the calling
-  /// thread until the query finishes, is rejected by admission
+  /// Runs `sql` under `session`'s default options. The calling thread
+  /// waits for admission, then coordinates the query itself; it returns
+  /// when the query finishes, is rejected by admission
   /// (`kResourceExhausted`), or fails in the engine.
   Result<QueryResponse> Execute(Session* session, const std::string& sql);
 
@@ -165,13 +168,11 @@ class QueryService {
  private:
   class CachingProvider;
 
-  /// One unit of engine work: runs against the runtime under the catalog
-  /// read lock, with the service's broadcast provider (null = cache off).
+  /// One unit of engine work: runs on the calling thread against the
+  /// runtime under the catalog read lock, with the service's broadcast
+  /// provider (null = cache off) and fragment pool.
   using EngineFn = std::function<Result<impala::QueryResult>(
-      impala::ImpalaRuntime*, impala::BroadcastProvider*)>;
-
-  /// Runs one admitted query on the pool and waits for its result.
-  Result<impala::QueryResult> RunOnPool(const EngineFn& run);
+      impala::ImpalaRuntime*, impala::BroadcastProvider*, ThreadPool*)>;
 
   /// Shared admission/metrics/logging wrapper of `Execute` and
   /// `ExecutePlan`.

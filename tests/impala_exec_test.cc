@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <map>
+#include <random>
 
+#include "common/thread_pool.h"
+#include "data/convert.h"
+#include "dfs/columnar_block.h"
 #include "dfs/sim_file_system.h"
+#include "exec/counter_names.h"
 #include "impala/runtime.h"
 
 namespace cloudjoin::impala {
@@ -413,6 +420,225 @@ TEST_F(SqlFeaturesTest, OrderByExpression) {
       "SELECT id FROM sales ORDER BY amount * 2 + id DESC LIMIT 1");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(std::get<int64_t>(r.rows[0][0]), 4);  // 20*2+4=44
+}
+
+}  // namespace
+}  // namespace cloudjoin::impala
+
+namespace cloudjoin::impala {
+namespace {
+
+/// Each value's type and exact bytes, row by row: equal renderings mean
+/// byte-identical rows in the same order.
+std::string RenderRows(const std::vector<Row>& rows) {
+  std::string out;
+  for (const Row& row : rows) {
+    for (const Value& v : row) {
+      out += std::to_string(v.index()) + ':';
+      if (const auto* d = std::get_if<double>(&v)) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, d, sizeof(bits));
+        out += std::to_string(bits);
+      } else if (const auto* str = std::get_if<std::string>(&v)) {
+        out += std::to_string(str->size()) + ':' + *str;
+      } else {
+        out += ValueToString(v);
+      }
+      out += '|';
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+/// A counter snapshot minus the timers, whose values are not counts.
+std::map<std::string, int64_t> CountsOf(const QueryResult& result) {
+  std::map<std::string, int64_t> counts = result.metrics.counters.Snapshot();
+  counts.erase(exec::counter::kPrepareMicros);
+  return counts;
+}
+
+/// Runs every query with its scan ranges on a 3-thread pool and without
+/// one: the coordinator must merge the concurrent fragment instances into
+/// exactly what the serial run returns.
+class PooledExecutionTest : public ::testing::Test {
+ protected:
+  PooledExecutionTest()
+      : fs_(4, /*block_size=*/2 * 1024), runtime_(&fs_, Catalog()), pool_(3) {
+    // 600 points over the zones' square, then 200 far outside it, so the
+    // columnar copy has whole blocks that zone-map pruning drops.
+    std::mt19937 rng(19);
+    std::vector<std::string> points;
+    for (int i = 0; i < 800; ++i) {
+      const double offset = i < 600 ? 0.0 : 200.0;
+      const double x = offset + static_cast<double>(rng() % 10000) / 100.0;
+      const double y = offset + static_cast<double>(rng() % 10000) / 100.0;
+      points.push_back(std::to_string(i) + "\tPOINT (" + std::to_string(x) +
+                       " " + std::to_string(y) + ")\t" +
+                       std::to_string(rng() % 5));
+    }
+    CLOUDJOIN_CHECK_OK(fs_.WriteTextFile("/pts.tsv", points));
+    // A 4x4 grid of 20-unit squares, five labels.
+    std::vector<std::string> zones;
+    for (int i = 0; i < 16; ++i) {
+      const int x = 2 + 25 * (i % 4);
+      const int y = 2 + 25 * (i / 4);
+      const std::string x1 = std::to_string(x + 20);
+      const std::string y1 = std::to_string(y + 20);
+      zones.push_back(std::to_string(i) + "\tPOLYGON ((" +
+                      std::to_string(x) + " " + std::to_string(y) + ", " +
+                      x1 + " " + std::to_string(y) + ", " + x1 + " " + y1 +
+                      ", " + std::to_string(x) + " " + y1 + ", " +
+                      std::to_string(x) + " " + std::to_string(y) +
+                      "))\tz" + std::to_string(i % 5));
+    }
+    CLOUDJOIN_CHECK_OK(fs_.WriteTextFile("/zones.tsv", zones));
+    RegisterText("pts", "/pts.tsv", {"passengers", ColumnType::kInt64});
+    RegisterText("zones", "/zones.tsv", {"label", ColumnType::kString});
+
+    join::TableInput text;
+    text.path = "/pts.tsv";
+    auto columnar = data::ConvertTextTableToColumnar(&fs_, text, "/cpts.col",
+                                                     /*block_rows=*/16);
+    CLOUDJOIN_CHECK(columnar.ok()) << columnar.status();
+    RegisterColumnar("cpts", "/cpts.col");
+  }
+
+  void RegisterText(const std::string& name, const std::string& path,
+                    const ColumnDef& extra) {
+    TableDef table;
+    table.name = name;
+    table.dfs_path = path;
+    table.columns = {{"id", ColumnType::kInt64},
+                     {"geom", ColumnType::kString},
+                     extra};
+    CLOUDJOIN_CHECK_OK(runtime_.catalog()->RegisterTable(table));
+  }
+
+  void RegisterColumnar(const std::string& name, const std::string& path) {
+    TableDef table;
+    table.name = name;
+    table.dfs_path = path;
+    table.format = exec::TableFormat::kColumnar;
+    table.columns = {{"id", ColumnType::kInt64},
+                     {"geom", ColumnType::kString}};
+    CLOUDJOIN_CHECK_OK(runtime_.catalog()->RegisterTable(table));
+  }
+
+  /// Runs `sql` serially and pooled, checks that both agree, and returns
+  /// the serial result.
+  Result<QueryResult> ExpectPooledMatchesSerial(
+      const std::string& sql, const QueryOptions& options = QueryOptions()) {
+    Result<QueryResult> serial = runtime_.Execute(sql, options);
+    Result<QueryResult> pooled = runtime_.Execute(sql, options, &pool_);
+    EXPECT_EQ(serial.status(), pooled.status()) << sql;
+    if (!serial.ok() || !pooled.ok()) return serial;
+    EXPECT_GE(serial->metrics.scan_tasks.size(), 8u) << sql;
+    EXPECT_EQ(RenderRows(serial->rows), RenderRows(pooled->rows)) << sql;
+    EXPECT_EQ(CountsOf(*serial), CountsOf(*pooled)) << sql;
+    const auto& a = serial->metrics.scan_tasks;
+    const auto& b = pooled->metrics.scan_tasks;
+    EXPECT_EQ(a.size(), b.size()) << sql;
+    for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+      EXPECT_EQ(a[i].bytes, b[i].bytes) << sql << " range " << i;
+      EXPECT_EQ(a[i].preferred_node, b[i].preferred_node)
+          << sql << " range " << i;
+    }
+    EXPECT_EQ(serial->metrics.join_task_seconds.size(),
+              pooled->metrics.join_task_seconds.size())
+        << sql;
+    return serial;
+  }
+
+  dfs::SimFileSystem fs_;
+  ImpalaRuntime runtime_;
+  ThreadPool pool_;
+};
+
+TEST_F(PooledExecutionTest, BroadcastWithinAndNearestD) {
+  auto within = ExpectPooledMatchesSerial(
+      "SELECT pts.id, zones.id FROM pts SPATIAL JOIN zones "
+      "WHERE ST_WITHIN(pts.geom, zones.geom)");
+  ASSERT_TRUE(within.ok()) << within.status();
+  EXPECT_FALSE(within->rows.empty());
+
+  // Cached parses: the ranges share the right side's parsed geometries.
+  QueryOptions cached;
+  cached.cache_parsed_geometries = true;
+  auto nearest = ExpectPooledMatchesSerial(
+      "SELECT pts.id, zones.id FROM pts SPATIAL JOIN zones "
+      "WHERE ST_NEARESTD(pts.geom, zones.geom, 3)",
+      cached);
+  ASSERT_TRUE(nearest.ok()) << nearest.status();
+  EXPECT_GT(nearest->rows.size(), within->rows.size());
+}
+
+TEST_F(PooledExecutionTest, ForcedPartitionedAtFiveTiles) {
+  QueryOptions options;
+  options.join_strategy = plan::JoinStrategy::kPartitioned;
+  options.partitioned_tiles = 5;
+  auto result = ExpectPooledMatchesSerial(
+      "SELECT pts.id, zones.id FROM pts SPATIAL JOIN zones "
+      "WHERE ST_WITHIN(pts.geom, zones.geom)",
+      options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->rows.empty());
+  EXPECT_GE(result->metrics.join_task_seconds.size(), 5u);
+}
+
+TEST_F(PooledExecutionTest, ColumnarLeftWithZoneMapPruning) {
+  auto result = ExpectPooledMatchesSerial(
+      "SELECT cpts.id, zones.id FROM cpts SPATIAL JOIN zones "
+      "WHERE ST_WITHIN(cpts.geom, zones.geom)");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->rows.empty());
+  EXPECT_GT(result->metrics.counters.Get(exec::counter::kScanBlocksPruned),
+            0);
+}
+
+TEST_F(PooledExecutionTest, CrossJoinWithPostFilter) {
+  auto result = ExpectPooledMatchesSerial(
+      "SELECT pts.id, zones.id FROM pts CROSS JOIN zones "
+      "WHERE ST_WITHIN(pts.geom, zones.geom) AND pts.passengers > 2");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->rows.empty());
+}
+
+TEST_F(PooledExecutionTest, GroupByHavingOrderByLimit) {
+  auto result = ExpectPooledMatchesSerial(
+      "SELECT zones.label, COUNT(*) AS n FROM pts SPATIAL JOIN zones "
+      "WHERE ST_WITHIN(pts.geom, zones.geom) GROUP BY zones.label "
+      "HAVING COUNT(*) > 10 ORDER BY COUNT(*) DESC LIMIT 3");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->rows.size(), 3u);
+}
+
+TEST_F(PooledExecutionTest, FirstFailingRangeInBlockOrderDecides) {
+  // Corrupt the WKT offsets of two blocks in different scan ranges: the
+  // reader accepts the file, and only the scans of those blocks fail.
+  const dfs::SimFile* file = fs_.GetFile("/cpts.col").value();
+  auto reader = dfs::ColumnarTableReader::Open(*file);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const int64_t first = reader->num_blocks() / 3;
+  const int64_t second = 2 * reader->num_blocks() / 3;
+  ASSERT_GT(reader->block_offset(second) - reader->block_offset(first),
+            fs_.block_size());
+  std::string bytes(file->data());
+  for (int64_t b : {first, second}) {
+    // A 40-byte block header, then five 8-byte columns, then the WKT
+    // offsets, whose first entry must be 0.
+    bytes[static_cast<size_t>(reader->block_offset(b) + 40 +
+                              40 * reader->block_rows(b))] = 1;
+  }
+  CLOUDJOIN_CHECK_OK(fs_.WriteFile("/bad.col", std::move(bytes)));
+  RegisterColumnar("bad", "/bad.col");
+
+  auto result = ExpectPooledMatchesSerial("SELECT id FROM bad");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find(
+                "(block " + std::to_string(first) + ")"),
+            std::string::npos)
+      << result.status();
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "data/convert.h"
 #include "data/workloads.h"
 #include "dfs/sim_file_system.h"
 #include "impala/types.h"
@@ -471,6 +472,127 @@ TEST_F(QueryServiceTest, IntervalStatsDeltaAgainstLifetime) {
   EXPECT_EQ(idle.queries_submitted, 0);
   EXPECT_EQ(idle.total_latency.count, 0);
   EXPECT_EQ(idle.cache.hits, 0);
+}
+
+// A columnar right side's cached parses never have their envelopes
+// computed at build time, so the first refinements against a fresh build
+// fill them in: here from every scan range of every concurrent query.
+TEST_F(QueryServiceTest, ConcurrentRangesShareCachedColumnarParses) {
+  auto service = MakeService(ServiceOptions());
+  auto columnar = data::ConvertTextTableToColumnar(
+      &fs_, suite_.taxi_nycb.right, "/nycb.col");
+  ASSERT_TRUE(columnar.ok()) << columnar.status();
+  ASSERT_TRUE(service->RegisterTable("nycb_col", *columnar).ok());
+  impala::QueryOptions cached;
+  cached.cache_parsed_geometries = true;
+  Session* text_session = service->CreateSession(cached);
+  Result<QueryResponse> reference =
+      service->Execute(text_session, TaxiNycbSql());
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_GT(reference->result.metrics.scan_tasks.size(), 1u);
+  ASSERT_FALSE(reference->result.rows.empty());
+
+  const std::string sql =
+      WorkloadSql(suite_.taxi_nycb, "taxi", "nycb_col");
+  constexpr int kClients = 4;
+  std::vector<std::vector<std::pair<int64_t, int64_t>>> results(kClients);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Session* session = service->CreateSession(cached);
+      for (int q = 0; q < 2; ++q) {
+        Result<QueryResponse> response = service->Execute(session, sql);
+        if (!response.ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+        results[static_cast<size_t>(c)] = RowsToPairs(response->result.rows);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(failures.load(), 0);
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(results[static_cast<size_t>(c)],
+              RowsToPairs(reference->result.rows))
+        << "client " << c;
+  }
+}
+
+// Four sessions query while a fifth thread keeps swapping the right table
+// between two versions: every query runs against one whole version, so
+// every answer is exactly one version's rows.
+TEST_F(QueryServiceTest, QueriesRacingReRegistrationSeeOneWholeVersion) {
+  ServiceOptions options;
+  options.admission.max_concurrent = 4;
+  auto service = MakeService(options);
+  Session* session = service->CreateSession();
+
+  // Version B keeps every other census block of version A.
+  join::TableInput version_a = suite_.taxi_nycb.right;
+  join::TableInput version_b = version_a;
+  version_b.path = "/nycb_every_other.tsv";
+  std::vector<std::string> kept;
+  std::string_view data = fs_.GetFile(version_a.path).value()->data();
+  for (size_t pos = 0, line = 0; pos < data.size(); ++line) {
+    size_t end = data.find('\n', pos);
+    if (end == std::string_view::npos) end = data.size();
+    if (line % 2 == 0) kept.emplace_back(data.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  ASSERT_TRUE(fs_.WriteTextFile(version_b.path, kept).ok());
+
+  std::vector<std::pair<int64_t, int64_t>> reference[2];
+  for (int v : {1, 0}) {
+    ASSERT_TRUE(
+        service->RegisterTable("nycb", v == 0 ? version_a : version_b).ok());
+    Result<QueryResponse> response = service->Execute(session, TaxiNycbSql());
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_GT(response->result.metrics.scan_tasks.size(), 1u);
+    reference[v] = RowsToPairs(response->result.rows);
+  }
+  ASSERT_NE(reference[0], reference[1]);
+
+  constexpr int kClients = 4;
+  std::atomic<int> running{kClients};
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&] {
+      Session* client = service->CreateSession();
+      for (int q = 0; q < 6; ++q) {
+        Result<QueryResponse> response =
+            service->Execute(client, TaxiNycbSql());
+        if (!response.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        const auto pairs = RowsToPairs(response->result.rows);
+        if (pairs != reference[0] && pairs != reference[1]) {
+          mismatches.fetch_add(1);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  int swaps = 0;
+  threads.emplace_back([&] {
+    for (int v = 1; running.load() > 0; v = 1 - v, ++swaps) {
+      if (!service->RegisterTable("nycb", v == 0 ? version_a : version_b)
+               .ok()) {
+        failures.fetch_add(1);
+      }
+      service->cache()->InvalidateTable("nycb");
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(swaps, 0);
+  EXPECT_EQ(service->GetStats().queries_ok, 2 + kClients * 6);
 }
 
 }  // namespace
