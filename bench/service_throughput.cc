@@ -15,7 +15,8 @@
 //   --clients=K    closed-loop client threads (default 4)
 //   --queries=M    queries per client (default 8)
 //   --scale=S      workload scale (default 0.05 — serving-sized)
-//   --threads=T    service worker pool (default = clients)
+//   --threads=T    fragment workers that run each query's scan ranges
+//                  next to its client thread (default = clients)
 //   --max_concurrent / --max_queue   admission knobs
 //   --seed         workload RNG seed
 
@@ -79,8 +80,9 @@ ArmResult RunArm(dfs::SimFileSystem* fs,
 
   std::vector<std::string> sqls;
   for (size_t i = 0; i < workloads.size(); ++i) {
-    const std::string l = "l" + std::to_string(i);
-    const std::string r = "r" + std::to_string(i);
+    const std::string index = std::to_string(i);
+    const std::string l = "l" + index;
+    const std::string r = "r" + index;
     auto lt = service.RegisterTable(l, workloads[i].left);
     CLOUDJOIN_CHECK(lt.ok()) << lt.status();
     auto rt = service.RegisterTable(r, workloads[i].right);
@@ -196,7 +198,7 @@ void Run(const Flags& flags) {
   const int64_t cache_arm = flags.GetInt("cache", -1);
 
   std::printf("service_throughput: %d clients x %d queries, scale %.3f, "
-              "%d workers, admission %d/%d\n\n",
+              "%d fragment workers, admission %d/%d\n\n",
               clients, queries, scale, threads, max_concurrent, max_queue);
 
   dfs::SimFileSystem fs(/*num_nodes=*/10, /*block_size=*/32 * 1024);

@@ -117,7 +117,10 @@ class BinaryExpr final : public Expr {
   }
 
   std::string ToString() const override {
-    return "(" + lhs_->ToString() + " " + op_ + " " + rhs_->ToString() + ")";
+    std::string out = "(";
+    out.append(lhs_->ToString()).append(" ").append(op_).append(" ");
+    out.append(rhs_->ToString()).append(")");
+    return out;
   }
 
  private:

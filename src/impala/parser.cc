@@ -311,7 +311,7 @@ class Parser {
       zero->kind = AstExpr::Kind::kIntLiteral;
       zero->int_value = 0;
       node->kind = AstExpr::Kind::kBinary;
-      node->op = "-";
+      node->op = std::string("-");
       node->lhs = std::move(zero);
       node->rhs = std::move(inner);
       return node;

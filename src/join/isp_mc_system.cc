@@ -89,7 +89,8 @@ Result<const impala::TableDef*> IspMcSystem::RegisterTable(
       column.name = "geom";
       column.type = impala::ColumnType::kString;
     } else {
-      column.name = "c" + std::to_string(i);
+      const std::string index = std::to_string(i);
+      column.name = "c" + index;
       column.type = impala::ColumnType::kString;
     }
     table.columns.push_back(std::move(column));

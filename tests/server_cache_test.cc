@@ -97,7 +97,8 @@ TEST(BroadcastIndexCacheTest, InvalidateTableDropsOnlyThatTable) {
 TEST(BroadcastIndexCacheTest, ClearEmptiesEverything) {
   BroadcastIndexCache cache({/*capacity_bytes=*/4096, /*num_shards=*/4});
   for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(cache.Insert("k" + std::to_string(i), "t", 8, Payload(i)));
+    const std::string index = std::to_string(i);
+    ASSERT_TRUE(cache.Insert("k" + index, "t", 8, Payload(i)));
   }
   cache.Clear();
   BroadcastIndexCache::Stats stats = cache.GetStats();
