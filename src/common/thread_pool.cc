@@ -34,11 +34,6 @@ void ThreadPool::Submit(std::function<void()> fn) {
   work_cv_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> fn;
@@ -51,14 +46,8 @@ void ThreadPool::WorkerLoop() {
       }
       fn = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     fn();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 

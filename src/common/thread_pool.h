@@ -19,6 +19,7 @@ class ThreadPool {
  public:
   /// Starts `num_threads` workers (at least 1).
   explicit ThreadPool(int num_threads);
+  /// Runs every task still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -27,10 +28,6 @@ class ThreadPool {
   /// Enqueues `fn` for execution.
   void Submit(std::function<void()> fn);
 
-  /// Blocks until all submitted work has completed, whoever submitted it.
-  /// Never call it from a pool task: the waiting task counts as active.
-  void Wait();
-
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
  private:
@@ -38,10 +35,8 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> threads_;
-  int active_ = 0;
   bool shutdown_ = false;
 };
 

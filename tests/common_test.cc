@@ -221,12 +221,13 @@ TEST(FlagsDeathTest, UnparsableValueIsAUsageError) {
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&count] { count.fetch_add(1); });
+    }
+  }  // The destructor runs every queued task before joining.
   EXPECT_EQ(count.load(), 100);
 }
 
