@@ -81,7 +81,9 @@ struct ArmResult {
   /// from the wall so --check=1 doesn't dilute the mode comparison.
   double oracle_seconds = 0.0;
   stream::StreamStats stream_stats;
-  server::ServiceStats interval;
+  /// The service's index-cache traffic during this arm alone.
+  int64_t right_cache_hits = 0;
+  int64_t right_cache_misses = 0;
 
   double EventsPerSecond() const {
     const double work = wall_seconds - oracle_seconds;
@@ -136,6 +138,9 @@ ArmResult RunArm(server::QueryService* service, dfs::SimFileSystem* fs,
                  const stream::SyntheticPointSourceOptions& feed,
                  const exec::BuiltRight* oracle_right,
                  const exec::SpatialPredicate& predicate) {
+  // Cache traffic of earlier arms sharing the service is subtracted.
+  const server::BroadcastIndexCache::Stats cache_before =
+      service->cache()->GetStats();
   stream::ContinuousQueryRegistry registry(service, fs);
 
   stream::StreamQueryOptions options;
@@ -175,9 +180,10 @@ ArmResult RunArm(server::QueryService* service, dfs::SimFileSystem* fs,
   registry.Flush();
   arm.wall_seconds = wall.ElapsedSeconds();
   arm.stream_stats = registry.GetStats();
-  // Interval (not lifetime) service stats: the cache traffic THIS arm
-  // generated, isolated from earlier arms sharing the service.
-  arm.interval = service->TakeIntervalStats();
+  const server::BroadcastIndexCache::Stats cache_after =
+      service->cache()->GetStats();
+  arm.right_cache_hits = cache_after.hits - cache_before.hits;
+  arm.right_cache_misses = cache_after.misses - cache_before.misses;
   return arm;
 }
 
@@ -205,8 +211,8 @@ void PrintArm(const ArmConfig& config, const ArmResult& arm, bool check) {
               static_cast<long long>(counters.Get("stream.events_pruned")),
               static_cast<long long>(counters.Get(exec::counter::kCandidates)),
               static_cast<long long>(counters.Get("stream.grid_rebuilds")),
-              static_cast<long long>(arm.interval.cache.hits),
-              static_cast<long long>(arm.interval.cache.misses));
+              static_cast<long long>(arm.right_cache_hits),
+              static_cast<long long>(arm.right_cache_misses));
   std::printf("    checksum %016llx%s\n",
               static_cast<unsigned long long>(arm.checksum),
               check ? (arm.oracle_mismatches == 0
@@ -295,7 +301,6 @@ int Run(const Flags& flags) {
     windows.push_back(spec);
   }
 
-  service.TakeIntervalStats();  // drop table-registration noise
   int failures = 0;
   for (const stream::WindowSpec& window : windows) {
     std::printf("%s  (lateness %lldms)\n", WindowName(window).c_str(),

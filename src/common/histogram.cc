@@ -66,13 +66,6 @@ LatencyHistogram::Snapshot LatencyHistogram::TakeSnapshot() const {
   return data_;
 }
 
-LatencyHistogram::Snapshot LatencyHistogram::TakeSnapshotAndReset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  Snapshot out = data_;
-  data_ = Snapshot();
-  return out;
-}
-
 double LatencyHistogram::Snapshot::PercentileSeconds(double q) const {
   if (count == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

@@ -59,10 +59,6 @@ class LatencyHistogram {
 
   Snapshot TakeSnapshot() const;
 
-  /// Atomically snapshots and clears, so callers can read per-interval
-  /// deltas without subtracting process-lifetime totals.
-  Snapshot TakeSnapshotAndReset();
-
  private:
   /// Bucket index for `seconds` (monotone in its argument).
   static int BucketFor(double seconds);

@@ -87,18 +87,6 @@ SpatialPartitioner::SpatialPartitioner(const geom::Envelope& extent,
 
 int SpatialPartitioner::SplitHotTiles(
     const std::vector<geom::Point>& probe_sample,
-    const std::vector<geom::Point>& build_sample, double skew_factor,
-    int max_tiles) {
-  std::vector<geom::Envelope> build_envelopes;
-  build_envelopes.reserve(build_sample.size());
-  for (const geom::Point& p : build_sample) {
-    build_envelopes.emplace_back(p.x, p.y, p.x, p.y);
-  }
-  return SplitHotTiles(probe_sample, build_envelopes, skew_factor, max_tiles);
-}
-
-int SpatialPartitioner::SplitHotTiles(
-    const std::vector<geom::Point>& probe_sample,
     const std::vector<geom::Envelope>& build_envelopes, double skew_factor,
     int max_tiles) {
   CLOUDJOIN_CHECK(skew_factor > 0.0);

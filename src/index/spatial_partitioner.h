@@ -38,31 +38,26 @@ class SpatialPartitioner {
   std::vector<int> TilesFor(const geom::Envelope& envelope) const;
 
   /// Hot-tile detection and recursive splitting (LocationSpark's skew
-  /// mitigation): estimates each tile's join cost as
-  /// `probe_samples x max(1, build_samples)` from the two center samples,
-  /// and while any tile's cost exceeds `skew_factor x` the mean tile cost
-  /// (and fewer than `max_tiles` tiles exist), quad-splits the costliest
-  /// such tile at the medians of its build-sample centers (falling back to
-  /// the probe sample, then the spatial midpoint). Children re-enter the
+  /// mitigation): estimates each tile's join cost as its probe-sample
+  /// count times max(1, the summed fractions of it that the intersecting
+  /// build envelopes cover), and while any tile's cost exceeds
+  /// `skew_factor x` the mean tile cost (and fewer than `max_tiles` tiles
+  /// exist), quad-splits the costliest such tile. Children re-enter the
   /// pool, so a pathological hotspot is split recursively until no single
   /// tile dominates a static schedule. Tiles still exactly cover the
   /// extent, so TileOf / OwnerTileOf semantics (and the reference-point
   /// dedup built on them) are unchanged.
   ///
+  /// A tile's build weight counts every envelope INTERSECTING it (i.e.
+  /// the replicas the join will actually place there), so a large
+  /// geometry spanning many tiles pressures all of them; a build point is
+  /// a degenerate envelope. Splits are steered by the probe medians
+  /// (probes are the divisible resource — a spanning build envelope
+  /// follows every child anyway), falling back to build envelope centers,
+  /// then the spatial midpoint.
+  ///
   /// Returns the number of split operations performed (each replaces one
   /// tile with four).
-  int SplitHotTiles(const std::vector<geom::Point>& probe_sample,
-                    const std::vector<geom::Point>& build_sample,
-                    double skew_factor, int max_tiles);
-
-  /// Envelope-aware variant: the build side is given as full envelopes and
-  /// a tile's build weight counts every envelope INTERSECTING it (i.e. the
-  /// replicas the join will actually place there), not just the centers it
-  /// contains. A large geometry spanning many tiles pressures all of them,
-  /// which the center-based estimate misses entirely. Splits are steered
-  /// by the probe medians (probes are the divisible resource — a spanning
-  /// build envelope follows every child anyway), falling back to build
-  /// envelope centers, then the spatial midpoint.
   int SplitHotTiles(const std::vector<geom::Point>& probe_sample,
                     const std::vector<geom::Envelope>& build_envelopes,
                     double skew_factor, int max_tiles);

@@ -14,18 +14,15 @@ AdmissionController::Ticket& AdmissionController::Ticket::operator=(
   if (this != &other) {
     Release();
     controller_ = other.controller_;
-    bytes_ = other.bytes_;
     other.controller_ = nullptr;
-    other.bytes_ = 0;
   }
   return *this;
 }
 
 void AdmissionController::Ticket::Release() {
   if (controller_ != nullptr) {
-    controller_->Release(bytes_);
+    controller_->Release();
     controller_ = nullptr;
-    bytes_ = 0;
   }
 }
 
@@ -33,15 +30,6 @@ AdmissionController::AdmissionController(const Options& options)
     : options_(options) {
   CLOUDJOIN_CHECK(options_.max_concurrent >= 1);
   CLOUDJOIN_CHECK(options_.max_queue >= 0);
-}
-
-bool AdmissionController::FitsLocked(int64_t bytes) const {
-  if (running_ >= options_.max_concurrent) return false;
-  if (options_.memory_budget_bytes > 0 &&
-      reserved_bytes_ + bytes > options_.memory_budget_bytes) {
-    return false;
-  }
-  return true;
 }
 
 void AdmissionController::PumpLocked() {
@@ -60,37 +48,25 @@ void AdmissionController::PumpLocked() {
       ++it;
     }
   }
-  while (!queue_.empty() && FitsLocked(queue_.front()->bytes)) {
+  while (!queue_.empty() && running_ < options_.max_concurrent) {
     Waiter* w = queue_.front();
     queue_.pop_front();
     w->admitted = true;
     ++running_;
-    reserved_bytes_ += w->bytes;
     stats_.peak_running = std::max<int64_t>(stats_.peak_running, running_);
     woke_any = true;
   }
   if (woke_any) cv_.notify_all();
 }
 
-Result<AdmissionController::Ticket> AdmissionController::Admit(
-    int64_t memory_bytes) {
-  CLOUDJOIN_CHECK(memory_bytes >= 0);
+Result<AdmissionController::Ticket> AdmissionController::Admit() {
   std::unique_lock<std::mutex> lock(mu_);
-  if (options_.memory_budget_bytes > 0 &&
-      memory_bytes > options_.memory_budget_bytes) {
-    ++stats_.rejected_oversize;
-    return Status::ResourceExhausted(
-        "query declares " + std::to_string(memory_bytes) +
-        " bytes, above the whole admission budget of " +
-        std::to_string(options_.memory_budget_bytes));
-  }
-  // Fast path: nothing queued ahead of us and capacity is free.
-  if (queue_.empty() && FitsLocked(memory_bytes)) {
+  // Fast path: nothing queued ahead of us and a slot is free.
+  if (queue_.empty() && running_ < options_.max_concurrent) {
     ++running_;
-    reserved_bytes_ += memory_bytes;
     stats_.peak_running = std::max<int64_t>(stats_.peak_running, running_);
     ++stats_.admitted_immediately;
-    return Ticket(this, memory_bytes);
+    return Ticket(this);
   }
   if (static_cast<int>(queue_.size()) >= options_.max_queue) {
     ++stats_.rejected_queue_full;
@@ -99,33 +75,24 @@ Result<AdmissionController::Ticket> AdmissionController::Admit(
         " waiting, " + std::to_string(running_) + " running)");
   }
   Waiter waiter;
-  waiter.bytes = memory_bytes;
   const auto timeout = std::chrono::duration<double>(
       std::max(0.0, options_.queue_timeout_seconds));
   waiter.deadline =
       Now() + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                   timeout);
   queue_.push_back(&waiter);
-  // The queue ahead of us may hold only already-expired waiters (their
-  // threads not yet woken); pump so we are admitted immediately if free
-  // capacity is really available.
-  PumpLocked();
-  if (!waiter.admitted) {
-    cv_.wait_for(lock, timeout,
-                 [&waiter] { return waiter.admitted || waiter.timed_out; });
-  }
+  cv_.wait_for(lock, timeout,
+               [&waiter] { return waiter.admitted || waiter.timed_out; });
   if (waiter.admitted) {
-    // PumpLocked already took the slot + reservation on our behalf.
+    // PumpLocked already took the slot on our behalf.
     ++stats_.admitted_after_wait;
-    return Ticket(this, memory_bytes);
+    return Ticket(this);
   }
   if (!waiter.timed_out) {
     // We observed the timeout ourselves (PumpLocked has not evicted us):
-    // unlink so PumpLocked can never admit a dead waiter, then pump — if
-    // we were the queue head, followers that fit must not stay stranded
-    // behind our departure.
+    // unlink so PumpLocked can never admit a dead waiter. Every slot is
+    // still taken, so no follower can move up.
     queue_.remove(&waiter);
-    PumpLocked();
   }
   ++stats_.rejected_timeout;
   return Status::ResourceExhausted(
@@ -135,12 +102,10 @@ Result<AdmissionController::Ticket> AdmissionController::Admit(
       std::to_string(queue_.size()) + " still queued)");
 }
 
-void AdmissionController::Release(int64_t bytes) {
+void AdmissionController::Release() {
   std::lock_guard<std::mutex> lock(mu_);
   CLOUDJOIN_CHECK(running_ > 0);
   --running_;
-  reserved_bytes_ -= bytes;
-  CLOUDJOIN_CHECK(reserved_bytes_ >= 0);
   PumpLocked();
 }
 
@@ -149,7 +114,6 @@ AdmissionController::Stats AdmissionController::GetStats() const {
   Stats stats = stats_;
   stats.running = running_;
   stats.queued = static_cast<int64_t>(queue_.size());
-  stats.reserved_bytes = reserved_bytes_;
   return stats;
 }
 

@@ -12,12 +12,12 @@
 
 namespace cloudjoin::server {
 
-/// Bounds how much work the query service runs at once — the serving-layer
-/// counterpart of Impala's admission control. A query must acquire an
-/// `AdmissionTicket` before executing; when the service is saturated the
-/// query waits in a bounded FIFO queue, and when the queue itself is full
-/// (or the wait times out) admission fails with `kResourceExhausted`
-/// instead of crashing or over-admitting.
+/// Bounds how many queries the service runs at once — the serving-layer
+/// counterpart of Impala's admission control. A query holds a `Ticket`
+/// while it executes; when every slot is taken the query waits in a
+/// bounded FIFO queue, and when the queue itself is full (or the wait
+/// times out) admission fails with `kResourceExhausted` instead of
+/// crashing or over-admitting.
 class AdmissionController {
  public:
   struct Options {
@@ -28,31 +28,25 @@ class AdmissionController {
     int max_queue = 16;
     /// How long a queued query waits for a slot before giving up.
     double queue_timeout_seconds = 5.0;
-    /// Total bytes of declared query memory admitted at once; 0 means
-    /// unlimited. A single request larger than the whole budget is
-    /// rejected outright (it could never be admitted).
-    int64_t memory_budget_bytes = 0;
     /// Clock used for queue deadlines; null means steady_clock. Injectable
     /// so tests can expire queued waiters deterministically.
     std::function<std::chrono::steady_clock::time_point()> clock;
   };
 
-  /// Monotonic counters plus instantaneous gauges (running/queued/
-  /// reserved_bytes reflect the moment of the snapshot).
+  /// Monotonic counters plus instantaneous gauges (running/queued reflect
+  /// the moment of the snapshot).
   struct Stats {
     int64_t admitted_immediately = 0;
     int64_t admitted_after_wait = 0;
     int64_t rejected_queue_full = 0;
     int64_t rejected_timeout = 0;
-    int64_t rejected_oversize = 0;
     int64_t running = 0;
     int64_t queued = 0;
     int64_t peak_running = 0;
-    int64_t reserved_bytes = 0;
   };
 
-  /// Move-only admission grant: holds one concurrency slot (and the
-  /// declared memory reservation) until destroyed or `Release()`d.
+  /// Move-only admission grant: holds one slot until destroyed or
+  /// `Release()`d.
   class Ticket {
    public:
     Ticket() = default;
@@ -65,25 +59,22 @@ class AdmissionController {
 
     bool valid() const { return controller_ != nullptr; }
 
-    /// Returns the slot and memory reservation; idempotent.
+    /// Returns the slot; idempotent.
     void Release();
 
    private:
     friend class AdmissionController;
-    Ticket(AdmissionController* controller, int64_t bytes)
-        : controller_(controller), bytes_(bytes) {}
+    explicit Ticket(AdmissionController* controller)
+        : controller_(controller) {}
 
     AdmissionController* controller_ = nullptr;
-    int64_t bytes_ = 0;
   };
 
   explicit AdmissionController(const Options& options);
 
-  /// Blocks until a slot (and `memory_bytes` of budget) is available, the
-  /// queue timeout elapses, or the wait queue is full. Waiters are served
-  /// strictly FIFO; a large request at the head blocks later small ones
-  /// rather than starving.
-  Result<Ticket> Admit(int64_t memory_bytes = 0);
+  /// Blocks until a slot is free, the queue timeout elapses, or the wait
+  /// queue is full. Waiters are served strictly FIFO.
+  Result<Ticket> Admit();
 
   Stats GetStats() const;
 
@@ -91,7 +82,6 @@ class AdmissionController {
 
  private:
   struct Waiter {
-    int64_t bytes = 0;
     bool admitted = false;
     /// Set by PumpLocked when the waiter's deadline passed while queued;
     /// mutually exclusive with `admitted`.
@@ -104,22 +94,21 @@ class AdmissionController {
                           : std::chrono::steady_clock::now();
   }
 
-  /// True when a request of `bytes` fits in the free slots and budget.
-  bool FitsLocked(int64_t bytes) const;
-
-  /// Evicts waiters whose deadline has already passed (they must never be
-  /// granted a slot their caller has given up on), then admits the longest
-  /// prefix of the remaining queue that fits.
+  /// Runs when a slot frees: evicts waiters whose deadline has already
+  /// passed (they must never be granted a slot their caller has given up
+  /// on), then admits waiters from the head of the queue while slots are
+  /// free.
   void PumpLocked();
 
-  void Release(int64_t bytes);
+  void Release();
 
   const Options options_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  /// Non-empty only while every slot is taken: an arrival queues only
+  /// then, and each release refills the freed slot from the queue.
   std::list<Waiter*> queue_;
   int running_ = 0;
-  int64_t reserved_bytes_ = 0;
   Stats stats_;
 };
 

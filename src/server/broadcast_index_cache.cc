@@ -1,7 +1,6 @@
 #include "server/broadcast_index_cache.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,34 +8,20 @@
 namespace cloudjoin::server {
 
 BroadcastIndexCache::BroadcastIndexCache(const Options& options)
-    : options_(options),
-      shard_capacity_(options.capacity_bytes /
-                      std::max(1, options.num_shards)) {
+    : options_(options) {
   CLOUDJOIN_CHECK(options_.capacity_bytes >= 0);
-  const int num_shards = std::max(1, options_.num_shards);
-  shards_.reserve(static_cast<size_t>(num_shards));
-  for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-BroadcastIndexCache::Shard& BroadcastIndexCache::ShardFor(
-    const std::string& key) {
-  const size_t hash = std::hash<std::string>()(key);
-  return *shards_[hash % shards_.size()];
 }
 
 std::shared_ptr<const void> BroadcastIndexCache::Lookup(
     const std::string& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.stats.misses;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++stats_.misses;
     return nullptr;
   }
-  ++shard.stats.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  ++stats_.hits;
+  lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->value;
 }
 
@@ -44,65 +29,50 @@ bool BroadcastIndexCache::Insert(const std::string& key,
                                  const std::string& table, int64_t bytes,
                                  std::shared_ptr<const void> value) {
   CLOUDJOIN_CHECK(bytes >= 0);
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (bytes > shard_capacity_) {
-    ++shard.stats.rejected_oversize;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (bytes > options_.capacity_bytes) {
+    ++stats_.rejected_oversize;
     return false;
   }
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
+  auto it = index_.find(key);
+  if (it != index_.end()) {
     // Replace in place: same key, possibly new bytes/value.
-    shard.bytes -= it->second->bytes;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-    ++shard.stats.evictions;
+    stats_.bytes -= it->second->bytes;
+    lru_.erase(it->second);
+    index_.erase(it);
+    ++stats_.evictions;
   }
   // Evict from the cold end until the new entry fits.
-  while (shard.bytes + bytes > shard_capacity_ && !shard.lru.empty()) {
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
-    ++shard.stats.evictions;
+  while (stats_.bytes + bytes > options_.capacity_bytes && !lru_.empty()) {
+    const Entry& victim = lru_.back();
+    stats_.bytes -= victim.bytes;
+    index_.erase(victim.key);
+    lru_.pop_back();
+    ++stats_.evictions;
   }
-  shard.lru.push_front(Entry{key, table, bytes, std::move(value)});
-  shard.index[key] = shard.lru.begin();
-  shard.bytes += bytes;
-  shard.peak_bytes = std::max(shard.peak_bytes, shard.bytes);
-  ++shard.stats.insertions;
+  lru_.push_front(Entry{key, table, bytes, std::move(value)});
+  index_[key] = lru_.begin();
+  stats_.bytes += bytes;
+  stats_.peak_bytes = std::max(stats_.peak_bytes, stats_.bytes);
+  ++stats_.insertions;
   return true;
 }
 
 int64_t BroadcastIndexCache::InvalidateTable(const std::string& table) {
+  std::lock_guard<std::mutex> lock(mu_);
   int64_t dropped = 0;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->table == table) {
-        shard.bytes -= it->bytes;
-        shard.index.erase(it->key);
-        it = shard.lru.erase(it);
-        ++shard.stats.invalidations;
-        ++dropped;
-      } else {
-        ++it;
-      }
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->table == table) {
+      stats_.bytes -= it->bytes;
+      index_.erase(it->key);
+      it = lru_.erase(it);
+      ++dropped;
+    } else {
+      ++it;
     }
   }
+  stats_.invalidations += dropped;
   return dropped;
-}
-
-void BroadcastIndexCache::Clear() {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.stats.invalidations += static_cast<int64_t>(shard.lru.size());
-    shard.lru.clear();
-    shard.index.clear();
-    shard.bytes = 0;
-  }
 }
 
 BroadcastIndexCache::BuildLock::BuildLock(BroadcastIndexCache* cache,
@@ -128,21 +98,10 @@ int64_t BroadcastIndexCache::NumBuildLocks() const {
 }
 
 BroadcastIndexCache::Stats BroadcastIndexCache::GetStats() const {
-  Stats total;
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total.hits += shard.stats.hits;
-    total.misses += shard.stats.misses;
-    total.insertions += shard.stats.insertions;
-    total.evictions += shard.stats.evictions;
-    total.invalidations += shard.stats.invalidations;
-    total.rejected_oversize += shard.stats.rejected_oversize;
-    total.bytes += shard.bytes;
-    total.peak_bytes += shard.peak_bytes;
-    total.entries += static_cast<int64_t>(shard.lru.size());
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  Stats stats = stats_;
+  stats.entries = static_cast<int64_t>(lru_.size());
+  return stats;
 }
 
 }  // namespace cloudjoin::server

@@ -7,15 +7,14 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/result.h"
 
 namespace cloudjoin::server {
 
-/// Memory-budgeted, sharded LRU cache of built broadcast structures —
-/// the serving-layer optimization the paper's one-shot runs cannot
-/// express: a right-side R-tree (plus parsed/prepared geometry) built for
+/// Memory-budgeted LRU cache of built broadcast structures — the
+/// serving-layer optimization the paper's one-shot runs cannot express:
+/// a right-side R-tree (plus parsed/prepared geometry) built for
 /// one query is retained and handed to later queries with the same build
 /// fingerprint, so only the first query of a working set pays the build.
 ///
@@ -26,33 +25,30 @@ namespace cloudjoin::server {
 /// `BroadcastFingerprint::Key()` et al. are injective over everything that
 /// affects the built bytes, so a hit is always safe to reuse.
 ///
-/// Each shard owns 1/num_shards of the byte budget and enforces it
-/// independently under its own mutex, so the total resident size never
-/// exceeds `capacity_bytes` at any instant and shards never contend.
+/// One LRU under one mutex enforces the whole byte budget, so the
+/// resident size never exceeds `capacity_bytes` at any instant and a
+/// single build may use all of it.
 class BroadcastIndexCache {
  public:
   struct Options {
-    /// Total byte budget across all shards (the broadcast-memory ceiling
-    /// the service is willing to spend on retained indexes).
+    /// Byte budget (the broadcast-memory ceiling the service is willing
+    /// to spend on retained indexes).
     int64_t capacity_bytes = 256LL << 20;
-    /// Number of independently locked shards (rounded up to at least 1).
-    int num_shards = 8;
   };
 
-  /// Aggregated over all shards. Monotonic counters except `bytes` /
-  /// `entries` (gauges). `hits + misses` equals the number of Lookup
-  /// calls; `insertions - evictions - invalidations` equals `entries`.
+  /// Monotonic counters except `bytes` / `entries` (gauges). `hits +
+  /// misses` equals the number of Lookup calls; `insertions - evictions -
+  /// invalidations` equals `entries`.
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t insertions = 0;
     int64_t evictions = 0;
     int64_t invalidations = 0;
-    /// Inserts refused because the value alone exceeds a shard's budget.
+    /// Inserts refused because the value alone exceeds the budget.
     int64_t rejected_oversize = 0;
     int64_t bytes = 0;
-    /// Sum of per-shard peaks — an upper bound on the instantaneous
-    /// global peak (shards peak at different times).
+    /// Highest `bytes` ever resident.
     int64_t peak_bytes = 0;
     int64_t entries = 0;
 
@@ -110,10 +106,10 @@ class BroadcastIndexCache {
   int64_t NumBuildLocks() const;
 
   /// Inserts (or replaces) `key` with a value of `bytes` resident size,
-  /// evicting least-recently-used entries of the same shard as needed.
-  /// Returns false — and caches nothing — when `bytes` alone exceeds the
-  /// shard budget. `table` links the entry to a catalog table for
-  /// `InvalidateTable`; pass "" for entries with no table.
+  /// evicting least-recently-used entries as needed. Returns false — and
+  /// caches nothing — when `bytes` alone exceeds the budget. `table`
+  /// links the entry to a catalog table for `InvalidateTable`; pass "" for
+  /// entries with no table.
   bool Insert(const std::string& key, const std::string& table, int64_t bytes,
               std::shared_ptr<const void> value);
 
@@ -121,15 +117,9 @@ class BroadcastIndexCache {
   /// Returns the number of entries dropped.
   int64_t InvalidateTable(const std::string& table);
 
-  /// Drops everything (counted as invalidations).
-  void Clear();
-
   Stats GetStats() const;
 
   const Options& options() const { return options_; }
-
-  /// Byte budget each shard enforces.
-  int64_t shard_capacity_bytes() const { return shard_capacity_; }
 
  private:
   struct Entry {
@@ -137,16 +127,6 @@ class BroadcastIndexCache {
     std::string table;
     int64_t bytes = 0;
     std::shared_ptr<const void> value;
-  };
-
-  /// One LRU domain: `lru` front = most recent; map points into the list.
-  struct Shard {
-    std::mutex mu;
-    std::list<Entry> lru;
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    int64_t bytes = 0;
-    int64_t peak_bytes = 0;
-    Stats stats;  // per-shard slice; aggregated by GetStats()
   };
 
   /// One key's build lock: misses on the key serialize on `mu`; `users`
@@ -171,11 +151,14 @@ class BroadcastIndexCache {
     KeyLock* lock_;
   };
 
-  Shard& ShardFor(const std::string& key);
-
   const Options options_;
-  const int64_t shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Guards `lru_`, `index_` and `stats_`.
+  mutable std::mutex mu_;
+  /// Front = most recently used; `index_` points into it.
+  std::list<Entry> lru_;
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  /// Every field but `entries`, which GetStats reads off `lru_`.
+  Stats stats_;
   mutable std::mutex build_locks_mu_;
   std::unordered_map<std::string, KeyLock> build_locks_;
 };

@@ -103,7 +103,7 @@ Result<QueryResponse> QueryService::ExecuteInternal(Session* session,
   const int64_t query_id = next_query_id_.fetch_add(1);
 
   Stopwatch total_watch;
-  Result<AdmissionController::Ticket> ticket_result = admission_.Admit(0);
+  Result<AdmissionController::Ticket> ticket_result = admission_.Admit();
   const double queue_seconds = total_watch.ElapsedSeconds();
   if (!ticket_result.ok()) {
     queries_rejected_.fetch_add(1);
@@ -142,19 +142,10 @@ Result<QueryResponse> QueryService::ExecuteInternal(Session* session,
   response.query_id = query_id;
 
   queries_ok_.fetch_add(1);
-  RecordLatencies(response.queue_seconds, response.exec_seconds,
-                  response.total_seconds);
+  queue_latency_.Record(response.queue_seconds);
+  exec_latency_.Record(response.exec_seconds);
+  total_latency_.Record(response.total_seconds);
   return response;
-}
-
-void QueryService::RecordLatencies(double queue_seconds, double exec_seconds,
-                                   double total_seconds) {
-  queue_latency_.Record(queue_seconds);
-  exec_latency_.Record(exec_seconds);
-  total_latency_.Record(total_seconds);
-  interval_queue_latency_.Record(queue_seconds);
-  interval_exec_latency_.Record(exec_seconds);
-  interval_total_latency_.Record(total_seconds);
 }
 
 ServiceStats QueryService::GetStats() const {
@@ -169,55 +160,6 @@ ServiceStats QueryService::GetStats() const {
   stats.exec_latency = exec_latency_.TakeSnapshot();
   stats.total_latency = total_latency_.TakeSnapshot();
   return stats;
-}
-
-namespace {
-
-/// Delta of the monotone admission counts since `base`; gauges (running,
-/// queued, reserved_bytes) and the peak stay at their current values.
-AdmissionController::Stats IntervalDelta(const AdmissionController::Stats& now,
-                                         const AdmissionController::Stats& base) {
-  AdmissionController::Stats d = now;
-  d.admitted_immediately -= base.admitted_immediately;
-  d.admitted_after_wait -= base.admitted_after_wait;
-  d.rejected_queue_full -= base.rejected_queue_full;
-  d.rejected_timeout -= base.rejected_timeout;
-  d.rejected_oversize -= base.rejected_oversize;
-  return d;
-}
-
-/// Delta of the monotone cache counts; bytes/peak_bytes/entries are gauges.
-BroadcastIndexCache::Stats IntervalDelta(const BroadcastIndexCache::Stats& now,
-                                         const BroadcastIndexCache::Stats& base) {
-  BroadcastIndexCache::Stats d = now;
-  d.hits -= base.hits;
-  d.misses -= base.misses;
-  d.insertions -= base.insertions;
-  d.evictions -= base.evictions;
-  d.invalidations -= base.invalidations;
-  d.rejected_oversize -= base.rejected_oversize;
-  return d;
-}
-
-}  // namespace
-
-ServiceStats QueryService::TakeIntervalStats() {
-  std::lock_guard<std::mutex> lock(interval_mu_);
-  ServiceStats now = GetStats();
-
-  ServiceStats interval = now;
-  interval.admission = IntervalDelta(now.admission, interval_base_.admission);
-  interval.cache = IntervalDelta(now.cache, interval_base_.cache);
-  interval.queries_submitted -= interval_base_.queries_submitted;
-  interval.queries_ok -= interval_base_.queries_ok;
-  interval.queries_rejected -= interval_base_.queries_rejected;
-  interval.queries_failed -= interval_base_.queries_failed;
-  interval.queue_latency = interval_queue_latency_.TakeSnapshotAndReset();
-  interval.exec_latency = interval_exec_latency_.TakeSnapshotAndReset();
-  interval.total_latency = interval_total_latency_.TakeSnapshotAndReset();
-
-  interval_base_ = now;
-  return interval;
 }
 
 std::string ServiceStats::ToString() const {

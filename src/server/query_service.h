@@ -149,14 +149,6 @@ class QueryService {
 
   ServiceStats GetStats() const;
 
-  /// Stats since the previous `TakeIntervalStats()` call (or since
-  /// construction, for the first call): latency histograms restart from
-  /// empty and monotone counts are deltas, so per-window / per-interval
-  /// reporting needs no process-lifetime subtraction by the caller.
-  /// Gauges (running, queued, cache bytes/entries, peaks) stay current
-  /// values. `GetStats()` remains lifetime-cumulative and is unaffected.
-  ServiceStats TakeIntervalStats();
-
   AdmissionController* admission() { return &admission_; }
   BroadcastIndexCache* cache() { return &cache_; }
   const ServiceOptions& options() const { return options_; }
@@ -178,11 +170,6 @@ class QueryService {
   /// `ExecutePlan`.
   Result<QueryResponse> ExecuteInternal(Session* session,
                                         const EngineFn& run);
-
-  /// Feeds one finished query's timings into both the lifetime and the
-  /// interval histograms.
-  void RecordLatencies(double queue_seconds, double exec_seconds,
-                       double total_seconds);
 
   ServiceOptions options_;
   join::IspMcSystem system_;
@@ -206,16 +193,6 @@ class QueryService {
   LatencyHistogram queue_latency_;
   LatencyHistogram exec_latency_;
   LatencyHistogram total_latency_;
-
-  /// Interval twins of the lifetime histograms: Record() feeds both, and
-  /// TakeIntervalStats() drains only these.
-  LatencyHistogram interval_queue_latency_;
-  LatencyHistogram interval_exec_latency_;
-  LatencyHistogram interval_total_latency_;
-  /// Serializes interval readers and holds the monotone-count baselines
-  /// subtracted to produce deltas.
-  std::mutex interval_mu_;
-  ServiceStats interval_base_;
 };
 
 }  // namespace cloudjoin::server

@@ -461,30 +461,6 @@ TEST(LatencyHistogramTest, MergeEmptySnapshotKeepsMinMax) {
   EXPECT_DOUBLE_EQ(snapshot.max_seconds, 0.005);
 }
 
-TEST(LatencyHistogramTest, TakeSnapshotAndResetDrainsAndRestarts) {
-  LatencyHistogram histogram;
-  histogram.Record(0.010);
-  histogram.Record(0.020);
-
-  LatencyHistogram::Snapshot first = histogram.TakeSnapshotAndReset();
-  EXPECT_EQ(first.count, 2);
-  EXPECT_DOUBLE_EQ(first.min_seconds, 0.010);
-
-  // Drained: the histogram starts a fresh interval.
-  EXPECT_EQ(histogram.TakeSnapshot().count, 0);
-  histogram.Record(0.500);
-  LatencyHistogram::Snapshot second = histogram.TakeSnapshotAndReset();
-  EXPECT_EQ(second.count, 1);
-  EXPECT_DOUBLE_EQ(second.min_seconds, 0.500);
-  EXPECT_DOUBLE_EQ(second.max_seconds, 0.500);
-
-  // The drained snapshots still roll up to the lifetime distribution.
-  LatencyHistogram lifetime;
-  lifetime.Merge(first);
-  lifetime.Merge(second);
-  EXPECT_EQ(lifetime.TakeSnapshot().count, 3);
-}
-
 TEST(FormatDurationTest, PicksReadableUnits) {
   EXPECT_EQ(FormatDuration(0.000741), "741us");
   EXPECT_NE(FormatDuration(0.0123).find("ms"), std::string::npos);

@@ -171,6 +171,14 @@ TEST(PartitionerTest, TilesForReplication) {
             part.tiles().size());
 }
 
+/// Each point as a degenerate envelope, the build side SplitHotTiles takes.
+std::vector<Envelope> PointEnvelopes(const std::vector<Point>& points) {
+  std::vector<Envelope> envelopes;
+  envelopes.reserve(points.size());
+  for (const Point& p : points) envelopes.emplace_back(p.x, p.y, p.x, p.y);
+  return envelopes;
+}
+
 TEST(PartitionerTest, SplitHotTilesSplitsTheHotspot) {
   Rng rng(3);
   Envelope extent(0, 0, 100, 100);
@@ -185,8 +193,8 @@ TEST(PartitionerTest, SplitHotTilesSplitsTheHotspot) {
   }
   SpatialPartitioner part(extent, build, 16);
   const size_t before = part.tiles().size();
-  int splits = part.SplitHotTiles(probe, build, /*skew_factor=*/2.0,
-                                  /*max_tiles=*/64);
+  int splits = part.SplitHotTiles(probe, PointEnvelopes(build),
+                                  /*skew_factor=*/2.0, /*max_tiles=*/64);
   EXPECT_GT(splits, 0);
   // Each split replaces one tile with four.
   EXPECT_EQ(part.tiles().size(), before + 3 * static_cast<size_t>(splits));
@@ -216,8 +224,8 @@ TEST(PartitionerTest, SplitHotTilesUniformSampleDoesNotSplit) {
   SpatialPartitioner part(extent, uniform, 16);
   // With probes spread like the layout sample, no tile crosses a high
   // skew threshold.
-  EXPECT_EQ(part.SplitHotTiles(uniform, uniform, /*skew_factor=*/8.0,
-                               /*max_tiles=*/256),
+  EXPECT_EQ(part.SplitHotTiles(uniform, PointEnvelopes(uniform),
+                               /*skew_factor=*/8.0, /*max_tiles=*/256),
             0);
 }
 
@@ -233,12 +241,13 @@ TEST(PartitionerTest, SplitHotTilesRespectsMaxTiles) {
     probe.push_back(Point{rng.Uniform(0, 2), rng.Uniform(0, 2)});
   }
   SpatialPartitioner part(extent, build, 16);
-  part.SplitHotTiles(probe, build, /*skew_factor=*/1.1, /*max_tiles=*/24);
+  part.SplitHotTiles(probe, PointEnvelopes(build), /*skew_factor=*/1.1,
+                     /*max_tiles=*/24);
   EXPECT_LE(part.tiles().size(), 24u);
 
   // Already at (or past) the cap: no-op.
   SpatialPartitioner full(extent, build, 32);
-  EXPECT_EQ(full.SplitHotTiles(probe, build, 1.1, 32), 0);
+  EXPECT_EQ(full.SplitHotTiles(probe, PointEnvelopes(build), 1.1, 32), 0);
 }
 
 TEST(PartitionerTest, SplitHotTilesSeesSpanningBuildEnvelopes) {

@@ -160,34 +160,6 @@ TEST(AdmissionControllerTest, WaitersAdmittedInFifoOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(AdmissionControllerTest, MemoryBudgetEnforced) {
-  AdmissionController::Options options;
-  options.max_concurrent = 8;
-  options.memory_budget_bytes = 100;
-  options.queue_timeout_seconds = 0.05;
-  AdmissionController controller(options);
-
-  // A request above the whole budget can never be admitted: reject now.
-  Result<Ticket> oversize = controller.Admit(1000);
-  ASSERT_FALSE(oversize.ok());
-  EXPECT_EQ(oversize.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(controller.GetStats().rejected_oversize, 1);
-
-  Result<Ticket> first = controller.Admit(60);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(controller.GetStats().reserved_bytes, 60);
-
-  // 60 + 60 > 100: the second request waits, then times out.
-  Result<Ticket> second = controller.Admit(60);
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
-
-  first.value().Release();
-  EXPECT_EQ(controller.GetStats().reserved_bytes, 0);
-  Result<Ticket> third = controller.Admit(60);
-  EXPECT_TRUE(third.ok());
-}
-
 TEST(AdmissionControllerTest, ExpiredWaiterNeverGrantedAfterDeadline) {
   // Deterministic via an injected clock: a query whose deadline passes
   // while it is queued must be rejected with kResourceExhausted even when
@@ -233,16 +205,16 @@ TEST(AdmissionControllerTest, ExpiredWaiterNeverGrantedAfterDeadline) {
 }
 
 TEST(AdmissionControllerTest, EvictedHeadDoesNotStrandFollowers) {
-  // Deterministic head-of-line scenario on the memory budget, driven by a
-  // fake clock (the 30s timeout means no real-time wakeups fire): a large
-  // head expires in the queue while a small follower behind it fits. The
-  // pump that evicts the expired head must admit the follower in the same
-  // pass, not leave it stranded behind the corpse.
+  // Deterministic head-of-line scenario driven by a fake clock (the 30s
+  // timeout means no real-time wakeups fire): the head expires in the
+  // queue behind the one running query while a follower behind it has
+  // time left. The pump that runs when the slot frees must evict the
+  // expired head AND admit the follower in the same pass, not leave it
+  // stranded behind the corpse.
   std::atomic<int64_t> fake_nanos{0};
   AdmissionController::Options options;
-  options.max_concurrent = 8;
+  options.max_concurrent = 1;
   options.max_queue = 8;
-  options.memory_budget_bytes = 100;
   options.queue_timeout_seconds = 30.0;
   options.clock = [&fake_nanos] {
     return std::chrono::steady_clock::time_point(
@@ -250,16 +222,14 @@ TEST(AdmissionControllerTest, EvictedHeadDoesNotStrandFollowers) {
   };
   AdmissionController controller(options);
 
-  Result<Ticket> holder_large = controller.Admit(80);
-  Result<Ticket> holder_small = controller.Admit(15);
-  ASSERT_TRUE(holder_large.ok());
-  ASSERT_TRUE(holder_small.ok());
+  Result<Ticket> holder = controller.Admit();
+  ASSERT_TRUE(holder.ok());
 
-  // Head: wants 80 (doesn't fit beside 95 reserved). Deadline 30s.
+  // Head: queued behind the holder. Deadline 30s.
   std::atomic<bool> head_done{false};
   Status head_status;
   std::thread head([&] {
-    Result<Ticket> ticket = controller.Admit(80);
+    Result<Ticket> ticket = controller.Admit();
     head_status = ticket.ok() ? Status::OK() : ticket.status();
     head_done.store(true);
   });
@@ -270,18 +240,17 @@ TEST(AdmissionControllerTest, EvictedHeadDoesNotStrandFollowers) {
   fake_nanos.store(1'000'000'000);
   std::atomic<bool> follower_admitted{false};
   std::thread follower([&] {
-    Result<Ticket> ticket = controller.Admit(10);
+    Result<Ticket> ticket = controller.Admit();
     EXPECT_TRUE(ticket.ok()) << ticket.status();
     follower_admitted.store(true);
   });
   SpinUntil([&controller] { return controller.GetStats().queued == 2; }, 10.0);
   ASSERT_EQ(controller.GetStats().queued, 2);
 
-  // Advance past the head's deadline but not the follower's, then release
-  // the small holder. One pump must evict the head AND admit the follower
-  // (80 held + 10 = 90 fits the 100 budget).
+  // Advance past the head's deadline but not the follower's, then free
+  // the slot. One pump must evict the head and admit the follower.
   fake_nanos.store(30'500'000'000);
-  holder_small.value().Release();
+  holder.value().Release();
 
   SpinUntil([&head_done] { return head_done.load(); }, 10.0);
   ASSERT_TRUE(head_done.load());
@@ -293,58 +262,10 @@ TEST(AdmissionControllerTest, EvictedHeadDoesNotStrandFollowers) {
 
   head.join();
   follower.join();
-  holder_large.value().Release();
   AdmissionController::Stats stats = controller.GetStats();
   EXPECT_EQ(stats.rejected_timeout, 1);
   EXPECT_EQ(stats.admitted_after_wait, 1);
-}
-
-TEST(AdmissionControllerTest, SelfTimedOutHeadPumpsFollowers) {
-  // Real-clock companion to the eviction test: the head observes its own
-  // timeout (nothing else pumps in between) and its departure must admit
-  // the follower behind it. The 100ms enqueue gap keeps the follower's own
-  // timeout comfortably after the head's.
-  AdmissionController::Options options;
-  options.max_concurrent = 8;
-  options.max_queue = 8;
-  options.memory_budget_bytes = 100;
-  options.queue_timeout_seconds = 0.25;
-  AdmissionController controller(options);
-
-  Result<Ticket> holder = controller.Admit(80);
-  ASSERT_TRUE(holder.ok());
-
-  std::atomic<bool> head_done{false};
-  Status head_status;
-  std::thread head([&] {
-    Result<Ticket> ticket = controller.Admit(80);
-    head_status = ticket.ok() ? Status::OK() : ticket.status();
-    head_done.store(true);
-  });
-  SpinUntil([&controller] { return controller.GetStats().queued == 1; }, 10.0);
-  ASSERT_EQ(controller.GetStats().queued, 1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  std::atomic<bool> follower_done{false};
-  std::atomic<bool> follower_admitted{false};
-  std::thread follower([&] {
-    Result<Ticket> ticket = controller.Admit(10);
-    follower_admitted.store(ticket.ok());
-    follower_done.store(true);
-  });
-  SpinUntil([&controller] { return controller.GetStats().queued == 2; }, 10.0);
-  ASSERT_EQ(controller.GetStats().queued, 2);
-
-  SpinUntil([&head_done] { return head_done.load(); }, 10.0);
-  ASSERT_TRUE(head_done.load());
-  EXPECT_FALSE(head_status.ok());
-  SpinUntil([&follower_done] { return follower_done.load(); }, 10.0);
-  EXPECT_TRUE(follower_admitted.load())
-      << "follower stranded behind the self-timed-out head";
-
-  head.join();
-  follower.join();
-  holder.value().Release();
+  EXPECT_EQ(stats.running, 0);
 }
 
 TEST(AdmissionControllerTest, ArrivalBehindExpiredWaiterAdmittedImmediately) {

@@ -22,7 +22,7 @@ std::shared_ptr<const void> Payload(int id) {
 }
 
 TEST(BroadcastIndexCacheTest, LookupMissThenHit) {
-  BroadcastIndexCache cache({/*capacity_bytes=*/1024, /*num_shards=*/1});
+  BroadcastIndexCache cache({/*capacity_bytes=*/1024});
   EXPECT_EQ(cache.Lookup("a"), nullptr);
   EXPECT_TRUE(cache.Insert("a", "t", 100, Payload(1)));
   auto hit = cache.LookupAs<int>("a");
@@ -38,10 +38,9 @@ TEST(BroadcastIndexCacheTest, LookupMissThenHit) {
 }
 
 TEST(BroadcastIndexCacheTest, EvictsLeastRecentlyUsed) {
-  // Single shard so LRU order is global: capacity holds three 100-byte
-  // entries; touching `a` makes `b` the coldest, so inserting `d` must
-  // evict `b` (and only `b`).
-  BroadcastIndexCache cache({/*capacity_bytes=*/300, /*num_shards=*/1});
+  // Capacity holds three 100-byte entries; touching `a` makes `b` the
+  // coldest, so inserting `d` must evict `b` (and only `b`).
+  BroadcastIndexCache cache({/*capacity_bytes=*/300});
   ASSERT_TRUE(cache.Insert("a", "t", 100, Payload(1)));
   ASSERT_TRUE(cache.Insert("b", "t", 100, Payload(2)));
   ASSERT_TRUE(cache.Insert("c", "t", 100, Payload(3)));
@@ -57,7 +56,7 @@ TEST(BroadcastIndexCacheTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST(BroadcastIndexCacheTest, ReplacingKeyUpdatesBytes) {
-  BroadcastIndexCache cache({/*capacity_bytes=*/1000, /*num_shards=*/1});
+  BroadcastIndexCache cache({/*capacity_bytes=*/1000});
   ASSERT_TRUE(cache.Insert("a", "t", 100, Payload(1)));
   ASSERT_TRUE(cache.Insert("a", "t", 250, Payload(2)));
   BroadcastIndexCache::Stats stats = cache.GetStats();
@@ -69,8 +68,8 @@ TEST(BroadcastIndexCacheTest, ReplacingKeyUpdatesBytes) {
 }
 
 TEST(BroadcastIndexCacheTest, RejectsOversizeValue) {
-  BroadcastIndexCache cache({/*capacity_bytes=*/400, /*num_shards=*/4});
-  // Per-shard budget is 100 bytes; a 150-byte value can never fit.
+  BroadcastIndexCache cache({/*capacity_bytes=*/100});
+  // A 150-byte value can never fit the 100-byte budget.
   EXPECT_FALSE(cache.Insert("big", "t", 150, Payload(1)));
   BroadcastIndexCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.rejected_oversize, 1);
@@ -78,8 +77,22 @@ TEST(BroadcastIndexCacheTest, RejectsOversizeValue) {
   EXPECT_EQ(stats.bytes, 0);
 }
 
+TEST(BroadcastIndexCacheTest, OneEntryMayUseTheWholeBudget) {
+  // The budget is not split: a 150-byte entry fits an 800-byte cache and
+  // is served from it.
+  BroadcastIndexCache cache({/*capacity_bytes=*/800});
+  EXPECT_TRUE(cache.Insert("big", "t", 150, Payload(1)));
+  auto hit = cache.LookupAs<int>("big");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, 1);
+  BroadcastIndexCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.rejected_oversize, 0);
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.bytes, 150);
+}
+
 TEST(BroadcastIndexCacheTest, InvalidateTableDropsOnlyThatTable) {
-  BroadcastIndexCache cache({/*capacity_bytes=*/4096, /*num_shards=*/2});
+  BroadcastIndexCache cache({/*capacity_bytes=*/4096});
   ASSERT_TRUE(cache.Insert("k1", "nycb", 10, Payload(1)));
   ASSERT_TRUE(cache.Insert("k2", "nycb", 10, Payload(2)));
   ASSERT_TRUE(cache.Insert("k3", "lion", 10, Payload(3)));
@@ -94,19 +107,6 @@ TEST(BroadcastIndexCacheTest, InvalidateTableDropsOnlyThatTable) {
   EXPECT_EQ(stats.bytes, 10);
 }
 
-TEST(BroadcastIndexCacheTest, ClearEmptiesEverything) {
-  BroadcastIndexCache cache({/*capacity_bytes=*/4096, /*num_shards=*/4});
-  for (int i = 0; i < 16; ++i) {
-    const std::string index = std::to_string(i);
-    ASSERT_TRUE(cache.Insert("k" + index, "t", 8, Payload(i)));
-  }
-  cache.Clear();
-  BroadcastIndexCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.entries, 0);
-  EXPECT_EQ(stats.bytes, 0);
-  EXPECT_EQ(stats.invalidations, 16);
-}
-
 /// A GetOrBuild builder returning the given artifact, counting calls.
 std::function<Result<std::shared_ptr<const exec::BuiltRight>>()> Builder(
     std::shared_ptr<const exec::BuiltRight> built, std::atomic<int>* builds) {
@@ -117,7 +117,7 @@ std::function<Result<std::shared_ptr<const exec::BuiltRight>>()> Builder(
 }
 
 TEST(BroadcastIndexCacheTest, GetOrBuildCachesAndSingleFlightsConcurrentBuilds) {
-  BroadcastIndexCache cache({/*capacity_bytes=*/1 << 20, /*num_shards=*/1});
+  BroadcastIndexCache cache({/*capacity_bytes=*/1 << 20});
   auto built = std::make_shared<const exec::BuiltRight>();
   std::atomic<int> builds{0};
   const auto builder = Builder(built, &builds);
@@ -153,7 +153,7 @@ TEST(BroadcastIndexCacheTest, GetOrBuildDropsEachKeysBuildLock) {
   // Every re-registration of a table mints a new generation-fenced key;
   // the build lock of each key must go once its build is done, or the
   // service keeps one per key for its whole life.
-  BroadcastIndexCache cache({/*capacity_bytes=*/1 << 20, /*num_shards=*/2});
+  BroadcastIndexCache cache({/*capacity_bytes=*/1 << 20});
   auto built = std::make_shared<const exec::BuiltRight>();
   std::atomic<int> builds{0};
   const auto builder = Builder(built, &builds);
@@ -191,7 +191,7 @@ TEST(BroadcastIndexCacheTest, GetOrBuildDropsEachKeysBuildLock) {
 /// caller keyed on the table's new generation never serves it, and a
 /// second invalidation reaps it.
 TEST(BroadcastIndexCacheTest, InvalidateTableRacingSingleFlightBuild) {
-  BroadcastIndexCache cache({/*capacity_bytes=*/1 << 20, /*num_shards=*/1});
+  BroadcastIndexCache cache({/*capacity_bytes=*/1 << 20});
 
   auto stale = std::make_shared<const exec::BuiltRight>();
   auto fresh = std::make_shared<const exec::BuiltRight>();
@@ -259,7 +259,7 @@ TEST(BroadcastIndexCacheTest, ConcurrentStressHoldsBudgetAndReconciles) {
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 4000;
   constexpr int64_t kCapacity = 64 * 1024;
-  BroadcastIndexCache cache({kCapacity, /*num_shards=*/4});
+  BroadcastIndexCache cache({kCapacity});
 
   std::atomic<int64_t> lookups{0};
   std::atomic<bool> budget_violated{false};
@@ -292,6 +292,7 @@ TEST(BroadcastIndexCacheTest, ConcurrentStressHoldsBudgetAndReconciles) {
   BroadcastIndexCache::Stats stats = cache.GetStats();
   EXPECT_LE(stats.bytes, kCapacity);
   EXPECT_LE(stats.bytes, stats.peak_bytes);
+  EXPECT_LE(stats.peak_bytes, kCapacity);
   EXPECT_EQ(stats.hits + stats.misses, lookups.load());
   EXPECT_EQ(stats.insertions - stats.evictions - stats.invalidations,
             stats.entries);

@@ -113,6 +113,31 @@ TEST_F(QueryServiceTest, ProbeOptionsShareOneCachedBuild) {
   EXPECT_EQ(stats.cache.hits, 1);
 }
 
+TEST_F(QueryServiceTest, OneBuildMayUseTheWholeCacheBudget) {
+  // The resident bytes of one taxi-nycb build, read off a default service.
+  int64_t build_bytes = 0;
+  {
+    auto sizing = MakeService(ServiceOptions());
+    ASSERT_TRUE(sizing->Execute(sizing->CreateSession(), TaxiNycbSql()).ok());
+    build_bytes = sizing->cache()->GetStats().bytes;
+  }
+  ASSERT_GT(build_bytes, 0);
+
+  // A budget of twice that keeps the build, so the repeat is a hit.
+  ServiceOptions options;
+  options.cache.capacity_bytes = 2 * build_bytes;
+  auto service = MakeService(options);
+  Session* session = service->CreateSession();
+  Result<QueryResponse> first = service->Execute(session, TaxiNycbSql());
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_FALSE(first->index_cache_hit);
+  Result<QueryResponse> second = service->Execute(session, TaxiNycbSql());
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_TRUE(second->index_cache_hit);
+  EXPECT_EQ(service->GetStats().cache.rejected_oversize, 0);
+  EXPECT_EQ(service->GetStats().cache.bytes, build_bytes);
+}
+
 TEST_F(QueryServiceTest, ResultsByteIdenticalWithCacheOnAndOff) {
   ServiceOptions cached;
   cached.enable_cache = true;
@@ -430,48 +455,6 @@ TEST_F(QueryServiceTest, StatsToStringMentionsEverySection) {
   EXPECT_NE(rendered.find("admission:"), std::string::npos);
   EXPECT_NE(rendered.find("index cache:"), std::string::npos);
   EXPECT_NE(rendered.find("latency total:"), std::string::npos);
-}
-
-TEST_F(QueryServiceTest, IntervalStatsDeltaAgainstLifetime) {
-  auto service = MakeService(ServiceOptions());
-  Session* session = service->CreateSession();
-
-  // Interval 1: two queries (one cache miss + one hit).
-  ASSERT_TRUE(service->Execute(session, TaxiNycbSql()).ok());
-  ASSERT_TRUE(service->Execute(session, TaxiNycbSql()).ok());
-  ServiceStats first = service->TakeIntervalStats();
-  EXPECT_EQ(first.queries_submitted, 2);
-  EXPECT_EQ(first.queries_ok, 2);
-  // Two lookup misses: the build path re-checks under the flight lock.
-  EXPECT_EQ(first.cache.misses, 2);
-  EXPECT_EQ(first.cache.hits, 1);
-  EXPECT_EQ(first.total_latency.count, 2);
-  EXPECT_GT(first.total_latency.max_seconds, 0.0);
-
-  // Interval 2: one query — only the delta shows, not the lifetime.
-  ASSERT_TRUE(service->Execute(session, TaxiNycbSql()).ok());
-  ServiceStats second = service->TakeIntervalStats();
-  EXPECT_EQ(second.queries_submitted, 1);
-  EXPECT_EQ(second.cache.misses, 0);
-  EXPECT_EQ(second.cache.hits, 1);
-  EXPECT_EQ(second.total_latency.count, 1);
-  EXPECT_EQ(second.admission.admitted_immediately, 1);
-
-  // Gauges stay current rather than delta'd: the cached index is still
-  // resident in the second interval.
-  EXPECT_EQ(second.cache.entries, 1);
-  EXPECT_GT(second.cache.bytes, 0);
-
-  // Lifetime stats are untouched by interval draining.
-  ServiceStats lifetime = service->GetStats();
-  EXPECT_EQ(lifetime.queries_submitted, 3);
-  EXPECT_EQ(lifetime.total_latency.count, 3);
-
-  // An idle interval reads as all-zero deltas.
-  ServiceStats idle = service->TakeIntervalStats();
-  EXPECT_EQ(idle.queries_submitted, 0);
-  EXPECT_EQ(idle.total_latency.count, 0);
-  EXPECT_EQ(idle.cache.hits, 0);
 }
 
 // A columnar right side's cached parses never have their envelopes
